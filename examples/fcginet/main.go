@@ -35,8 +35,8 @@ func main() {
 	fmt.Println("(same pool, same workload — only the worker transport changes)")
 	fmt.Println()
 
-	run := func(placement experiments.FCGINetPlacement, ref, ring, offload bool) {
-		r := experiments.RunFCGINet(experiments.FCGINetParams{
+	run := func(placement experiments.FCGIPlacement, ref, ring, offload bool) {
+		r := experiments.RunFCGI(experiments.FCGIParams{
 			Placement: placement,
 			Workers:   4,
 			Depth:     8,

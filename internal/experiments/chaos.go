@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"iolite/internal/apps"
@@ -75,10 +74,7 @@ type ChaosResult struct {
 	// GoodputKReq is completed requests per second, in thousands, over the
 	// measure window.
 	GoodputKReq float64
-	// P99Ms is the 99th-percentile request latency in milliseconds over
-	// completions after warmup.
-	P99Ms    float64
-	Requests int64
+	Requests    int64
 	// Failed counts requests that returned an error anywhere in the run —
 	// the acceptance criterion demands 0 with replay on.
 	Failed   int64
@@ -109,40 +105,20 @@ type ChaosResult struct {
 
 // RunChaos executes one chaos run on the sock-local ref topology.
 func RunChaos(cp ChaosParams) ChaosResult {
-	if cp.Workers <= 0 {
-		cp.Workers = 2
-	}
-	if cp.Depth <= 0 {
-		cp.Depth = 16
-	}
-	if cp.Requesters <= 0 {
-		cp.Requesters = cp.Workers * cp.Depth
-	}
-	if cp.DocBytes == 0 {
-		cp.DocBytes = 16 << 10
-	}
-	if cp.AppDelay == 0 {
-		cp.AppDelay = 400 * time.Microsecond
-	}
-	if cp.Think == 0 {
-		cp.Think = 40 * time.Millisecond
-	}
-	if cp.Warmup == 0 {
-		cp.Warmup = 100 * time.Millisecond
-	}
-	if cp.Measure == 0 {
-		cp.Measure = 500 * time.Millisecond
-	}
+	orDefault(&cp.Workers, 2)
+	orDefault(&cp.Depth, 16)
+	orDefault(&cp.Requesters, cp.Workers*cp.Depth)
+	orDefault(&cp.DocBytes, 16<<10)
+	orDefault(&cp.AppDelay, 400*time.Microsecond)
+	orDefault(&cp.Think, 40*time.Millisecond)
+	orDefault(&cp.Warmup, 100*time.Millisecond)
+	orDefault(&cp.Measure, 500*time.Millisecond)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if cp.Obs != nil {
-		cp.Obs.Attach(eng, costs)
-	}
+	w := newWorld(cp.Obs, cp.Warmup, cp.Measure)
 	// The checksum cache is load-bearing under faults: a retransmitted ref
 	// segment re-checksums with one lookup per piece instead of re-paying
 	// the full pass, so recovery overhead is wire bytes, not CPU.
-	m := kernel.NewMachine(eng, costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
+	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
 	srv := m.NewProcess("chaos-srv", 2<<20)
 	tr := fcgi.NewLoopbackTransport(m, srv, true, 0)
 
@@ -152,7 +128,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		tr.Link.SetFaultPlan(plan)
 	}
 
-	aggs := fcgi.NewAggCache()
+	app := newDocApp(true, cp.DocBytes, cp.AppDelay)
 	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
 		Machine:   m,
 		Server:    srv,
@@ -164,69 +140,31 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		Replay:    cp.Replay,
 		Name:      "cw",
 		Obs:       cp.Obs,
-		OnRetire:  func(w *fcgi.Worker) { aggs.Drop(w) },
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			w.M.Host.Use(p, 20*time.Microsecond)
-			p.Sleep(cp.AppDelay)
-			agg := aggs.GetOrPack(p, w, cp.DocBytes, func() []byte { return fcgiDoc(cp.DocBytes) })
-			req.Reply(p, agg, 0)
-		},
+		OnRetire:  app.retire,
+		Handler:   app.serve,
 	})
 
-	end := sim.Time(cp.Warmup + cp.Measure)
-	params := []byte(fmt.Sprintf("/doc/%d", cp.DocBytes))
-	lat := obs.NewHistogram()
-	var done, failed int64
-	var lats []time.Duration
+	// A failed request pauses before the next attempt — pool.Do fails fast
+	// when every worker is briefly broken, and an unpaced retry loop would
+	// spin at one sim instant, starving the respawn that fixes it.
+	reqs := &requesters{
+		w: w, pool: pool, kind: "chaos", params: docParams(cp.DocBytes), idempotent: true,
+		think: cp.Think, retry: 100 * time.Microsecond, lat: obs.NewHistogram(),
+	}
 	for i := 0; i < cp.Requesters; i++ {
-		eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
-			for p.Now() < end {
-				start := p.Now()
-				sp := cp.Obs.Start("chaos", start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{Params: params, Idempotent: true, Span: sp})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					// A failed request pauses before the next attempt —
-					// pool.Do fails fast when every worker is briefly
-					// broken, and an unpaced retry loop would spin at one
-					// sim instant, starving the respawn that fixes it.
-					sp.Abandon()
-					failed++
-					p.Sleep(100 * time.Microsecond)
-					continue
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				done++
-				if start >= sim.Time(cp.Warmup) {
-					lats = append(lats, p.Now().Sub(start))
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-				p.Sleep(cp.Think)
-			}
-		})
+		reqs.spawn(fmt.Sprintf("req%d", i), "", 0, 0)
 	}
-	if cp.Obs != nil {
-		// Samplers: mux occupancy, open spans, and cumulative retransmitted
-		// segments — the recovery story as counter tracks.
-		cp.Obs.SampleEvery("pool-inflight", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(pool.InFlight()) })
-		cp.Obs.SampleEvery("active-spans", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(cp.Obs.ActiveSpans()) })
-		cp.Obs.SampleEvery("retrans-segs", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { segs, _ := m.Host.RetransStats(); return float64(segs) })
-	}
+	// Samplers: mux occupancy, open spans, and cumulative retransmitted
+	// segments — the recovery story as counter tracks.
+	w.sample("pool-inflight", func() float64 { return float64(pool.InFlight()) })
+	w.sample("active-spans", func() float64 { return float64(cp.Obs.ActiveSpans()) })
+	w.sample("retrans-segs", func() float64 { segs, _ := m.Host.RetransStats(); return float64(segs) })
 	if cp.KillEvery > 0 {
-		eng.Go("killer", func(p *sim.Proc) {
+		w.eng.Go("killer", func(p *sim.Proc) {
 			k := 0
 			for {
 				p.Sleep(cp.KillEvery)
-				if p.Now() >= end {
+				if p.Now() >= w.end {
 					return
 				}
 				victim := pool.Workers()[k%cp.Workers]
@@ -237,18 +175,12 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	}
 
 	res := ChaosResult{Label: chaosLabel(cp)}
-	var warmDone int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.Host, cp.Obs)
-	eng.At(sim.Time(cp.Warmup), func() {
-		warmDone = done
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		res.Requests = done - warmDone
-		res.GoodputKReq = float64(res.Requests) / cp.Measure.Seconds() / 1e3
+	w.reset.Add(m.Host)
+	w.run(reqs.snapshot, func() {
+		res.Requests = reqs.measured()
+		res.GoodputKReq = w.kPerSec(res.Requests)
 		if res.Requests > 0 {
-			res.CopiedKBPerReq = float64(costs.MeterCopiedBytes()) / float64(res.Requests) / (1 << 10)
+			res.CopiedKBPerReq = float64(w.costs.MeterCopiedBytes()) / float64(res.Requests) / (1 << 10)
 		}
 		segs, rbytes := m.Host.RetransStats()
 		res.RetransSegs = segs
@@ -256,25 +188,19 @@ func RunChaos(cp ChaosParams) ChaosResult {
 			res.RetransPct = float64(rbytes) / float64(bytesOut)
 		}
 	})
-	eng.Run()
 
-	res.Failed = failed
+	res.Failed = reqs.failed
 	res.Replays = pool.Replays()
 	res.Reroutes = pool.Reroutes()
 	res.Respawns = pool.Respawns()
 	if plan != nil {
 		res.DroppedSegs, res.CorruptedSegs = plan.Stats()
 	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.P99Ms = lats[len(lats)*99/100].Seconds() * 1e3
-	}
 	res.LeakPages = leakPages(srv.Pool.LivePages())
-	for _, w := range pool.Workers() {
-		res.LeakPages += leakPages(w.Proc.Pool.LivePages())
+	for _, wk := range pool.Workers() {
+		res.LeakPages += leakPages(wk.Proc.Pool.LivePages())
 	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.P50Us, res.P99Us = percentilesUs(reqs.lat)
 	return res
 }
 
@@ -421,12 +347,12 @@ func FigChaos(opt Options) *Table {
 				Obs:       opt.Trace,
 			})
 			opt.progress("FigChaos %s %s: %.1f kreq/s (p50 %.0fµs p99 %.2fms, failed %d, replays %d, retrans %.2f%%, leaks %d)",
-				c.name, r.Label, r.GoodputKReq, r.P50Us, r.P99Ms, r.Failed, r.Replays, r.RetransPct*100, r.LeakPages)
+				c.name, r.Label, r.GoodputKReq, r.P50Us, r.P99Us/1e3, r.Failed, r.Replays, r.RetransPct*100, r.LeakPages)
 			row.Values = append(row.Values, r.GoodputKReq)
 			if loss == notesAt {
 				t.Notes = append(t.Notes, fmt.Sprintf(
 					"%s @%s: p99 %.2fms, failed %d, replays %d, reroutes %d, respawns %d, retrans %.2f%% (%d segs), copied %.2f KB/req, leaked pages %d",
-					c.name, r.Label, r.P99Ms, r.Failed, r.Replays, r.Reroutes, r.Respawns,
+					c.name, r.Label, r.P99Us/1e3, r.Failed, r.Replays, r.Reroutes, r.Respawns,
 					r.RetransPct*100, r.RetransSegs, r.CopiedKBPerReq, r.LeakPages))
 			}
 		}

@@ -21,9 +21,8 @@ func benchChaos(b *testing.B, cp ChaosParams) {
 		r := RunChaos(cp)
 		if i == 0 {
 			fmt.Printf("%s: %.2f kreq/s, p99 %.2f ms, failed %d, replays %d, respawns %d, retrans %.1f%%\n",
-				r.Label, r.GoodputKReq, r.P99Ms, r.Failed, r.Replays, r.Respawns, r.RetransPct*100)
+				r.Label, r.GoodputKReq, r.P99Us/1e3, r.Failed, r.Replays, r.Respawns, r.RetransPct*100)
 			b.ReportMetric(r.GoodputKReq, "kreq/s")
-			b.ReportMetric(r.P99Ms, "p99_ms")
 			b.ReportMetric(float64(r.Failed), "failed")
 			b.ReportMetric(float64(r.Replays), "replays")
 			b.ReportMetric(float64(r.Respawns), "respawns")

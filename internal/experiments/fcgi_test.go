@@ -5,15 +5,11 @@ import (
 	"time"
 )
 
-// fcgiQuick returns one quick RunFCGI result.
-func fcgiQuick(workers, depth int, ref bool) FCGIResult {
-	return RunFCGI(FCGIParams{
-		Workers: workers,
-		Depth:   depth,
-		Ref:     ref,
-		Warmup:  150 * time.Millisecond,
-		Measure: 600 * time.Millisecond,
-	})
+// fcgiQuick runs fp over short windows.
+func fcgiQuick(fp FCGIParams) FCGIResult {
+	fp.Warmup = 150 * time.Millisecond
+	fp.Measure = 600 * time.Millisecond
+	return RunFCGI(fp)
 }
 
 // TestFCGIScalingShapes pins the scaling study's qualitative claims:
@@ -25,11 +21,11 @@ func TestFCGIScalingShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run scaling study")
 	}
-	ref1 := fcgiQuick(1, 1, true)
-	ref4 := fcgiQuick(4, 1, true)
-	refDeep := fcgiQuick(1, 8, true)
-	copy4 := fcgiQuick(4, 8, false)
-	ref32 := fcgiQuick(4, 8, true)
+	ref1 := fcgiQuick(FCGIParams{Workers: 1, Depth: 1, Ref: true})
+	ref4 := fcgiQuick(FCGIParams{Workers: 4, Depth: 1, Ref: true})
+	refDeep := fcgiQuick(FCGIParams{Workers: 1, Depth: 8, Ref: true})
+	copy4 := fcgiQuick(FCGIParams{Workers: 4, Depth: 8})
+	ref32 := fcgiQuick(FCGIParams{Workers: 4, Depth: 8, Ref: true})
 
 	for _, r := range []FCGIResult{ref1, ref4, refDeep, copy4, ref32} {
 		if r.Failures != 0 {
@@ -84,5 +80,169 @@ func TestFigFCGITable(t *testing.T) {
 		if row.Values[3] <= row.Values[2] {
 			t.Errorf("workers=%s: ref d=8 (%.1f) not above d=1 (%.1f)", row.Label, row.Values[3], row.Values[2])
 		}
+	}
+}
+
+// TestFCGINetLANTaxShapes pins the transport study's qualitative claims:
+// every placement serves without failures; pipes beat sockets (the
+// protocol path is the first installment of the LAN tax); and the copy
+// meter tells the boundary story — ref mode charges ~nothing on-machine,
+// exactly the payload volume once it crosses to a remote machine, and
+// copy mode at least twice that everywhere.
+func TestFCGINetLANTaxShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run transport study")
+	}
+	results := map[FCGIPlacement]map[bool]FCGIResult{}
+	for _, placement := range Placements {
+		results[placement] = map[bool]FCGIResult{}
+		for _, ref := range []bool{false, true} {
+			r := fcgiQuick(FCGIParams{Placement: placement, Workers: 2, Depth: 4, Ref: ref})
+			if r.Failures != 0 {
+				t.Fatalf("%s: %d failed requests", r.Label, r.Failures)
+			}
+			if r.Requests == 0 {
+				t.Fatalf("%s: no requests completed", r.Label)
+			}
+			results[placement][ref] = r
+		}
+	}
+
+	pipeRef := results[PlacePipe][true]
+	localRef := results[PlaceSockLocal][true]
+	remoteRef := results[PlaceSockRemote][true]
+	remoteCopy := results[PlaceSockRemote][false]
+
+	// The protocol path costs throughput: pipes beat sockets in ref mode.
+	if pipeRef.KReqPerSec <= localRef.KReqPerSec {
+		t.Errorf("pipe ref %.1f kreq/s not above sock-local ref %.1f — no transport tax?",
+			pipeRef.KReqPerSec, localRef.KReqPerSec)
+	}
+	// Copy-meter ordering: pipe ref ≈ framing ≪ remote ref ≈ payload once
+	// < remote copy ≥ payload twice.
+	if pipeRef.CopiedMB*20 > remoteRef.CopiedMB {
+		t.Errorf("pipe ref copied %.2f MB vs remote ref %.2f MB; want ≥20x separation (the boundary copy)",
+			pipeRef.CopiedMB, remoteRef.CopiedMB)
+	}
+	if localRef.CopiedMB*20 > remoteRef.CopiedMB {
+		t.Errorf("sock-local ref copied %.2f MB vs remote ref %.2f MB; local sockets must stay zero-copy",
+			localRef.CopiedMB, remoteRef.CopiedMB)
+	}
+	if remoteCopy.CopiedMB < 1.8*remoteRef.CopiedMB {
+		t.Errorf("remote copy %.2f MB vs remote ref %.2f MB; copy mode must pay both sides of the boundary",
+			remoteCopy.CopiedMB, remoteRef.CopiedMB)
+	}
+	// The remote worker machine actually carries work.
+	if remoteRef.WorkerCPUUtil <= 0 {
+		t.Error("remote placement shows an idle worker machine")
+	}
+}
+
+// TestAcceptanceRingClosesSyscallGap is this PR's acceptance pin at the
+// experiment layer: ring-based sock-local ref fcgi at depth 16 pays at
+// most 1/4 of the per-op baseline's syscall charges per request, and the
+// saved kernel crossings show up as throughput — sock-local ref kreq/s
+// moves toward the pipe placement's figure.
+func TestAcceptanceRingClosesSyscallGap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run acceptance study")
+	}
+	run := func(placement FCGIPlacement, ring bool) FCGIResult {
+		r := fcgiQuick(FCGIParams{Placement: placement, Workers: 2, Depth: 16, Ref: true, Ring: ring})
+		if r.Failures != 0 || r.Requests == 0 {
+			t.Fatalf("%s: %d requests, %d failures", r.Label, r.Requests, r.Failures)
+		}
+		return r
+	}
+	base := run(PlaceSockLocal, false)
+	ring := run(PlaceSockLocal, true)
+	pipe := run(PlacePipe, false)
+
+	t.Logf("sock-local ref d=16: %.1f → %.1f sys/req, %.1f → %.1f kreq/s (pipe %.1f)",
+		base.SyscallsPerReq, ring.SyscallsPerReq, base.KReqPerSec, ring.KReqPerSec, pipe.KReqPerSec)
+	if ring.SyscallsPerReq > base.SyscallsPerReq/4 {
+		t.Errorf("ring pays %.1f sys/req vs %.1f baseline; want ≤ 1/4",
+			ring.SyscallsPerReq, base.SyscallsPerReq)
+	}
+	// "Improves toward the pipe figure": the sock-local machine is CPU-
+	// saturated, and most of its per-request budget is per-segment
+	// protocol work the ring cannot remove — the LAN tax's other
+	// installment. The kernel-crossing installment does come back out,
+	// though: a ≥10% throughput gain, not noise, with pipe still ahead.
+	if ring.KReqPerSec < 1.10*base.KReqPerSec {
+		t.Errorf("ring %.1f kreq/s vs baseline %.1f; want ≥ +10%% — saved syscalls didn't buy throughput",
+			ring.KReqPerSec, base.KReqPerSec)
+	}
+	if pipe.KReqPerSec <= ring.KReqPerSec {
+		t.Errorf("pipe %.1f kreq/s not above ring sock-local %.1f — the protocol path should still cost",
+			pipe.KReqPerSec, ring.KReqPerSec)
+	}
+}
+
+// TestFigFCGINetTable checks the figure assembles with the right axes:
+// every placement × mode at ≥2 worker counts, all serving.
+func TestFigFCGINetTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure")
+	}
+	tbl := FigFCGINet(Options{Quick: true})
+	if len(tbl.Rows) < 2 || len(tbl.Columns) != 8 {
+		t.Fatalf("table %dx%d, want ≥2 rows x 8 cols", len(tbl.Rows), len(tbl.Columns))
+	}
+	for _, row := range tbl.Rows {
+		if len(row.Values) != len(tbl.Columns) {
+			t.Fatalf("row %s has %d values for %d columns", row.Label, len(row.Values), len(tbl.Columns))
+		}
+		for i, v := range row.Values {
+			if v <= 0 {
+				t.Errorf("row %s col %s: %.2f kreq/s", row.Label, tbl.Columns[i], v)
+			}
+		}
+	}
+}
+
+// TestAcceptanceOffloadClosesProtocolGap is this PR's acceptance pin:
+// LSO/GRO segment offload on the sock-local ref placement at least
+// doubles kreq/s, total packets per request (data + acks) fall to at
+// most 55% of the offload-off baseline, the same MSS-granular chunks
+// still cross the wire, and the tail does not regress.
+func TestAcceptanceOffloadClosesProtocolGap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run acceptance study")
+	}
+	run := func(offload bool) FCGIResult {
+		r := fcgiQuick(FCGIParams{Placement: PlaceSockLocal, Workers: 2, Depth: 16, Ref: true, Offload: offload})
+		if r.Failures != 0 || r.Requests == 0 {
+			t.Fatalf("%s: %d requests, %d failures", r.Label, r.Requests, r.Failures)
+		}
+		return r
+	}
+	off := run(false)
+	on := run(true)
+
+	t.Logf("sock-local ref d=16: %.1f → %.1f kreq/s, %.1f+%.1f → %.1f+%.1f pkts+acks/req, p99 %.0f → %.0fµs",
+		off.KReqPerSec, on.KReqPerSec, off.PktsPerReq, off.AcksPerReq, on.PktsPerReq, on.AcksPerReq,
+		off.P99Us, on.P99Us)
+	if on.KReqPerSec < 2*off.KReqPerSec {
+		t.Errorf("offload %.1f kreq/s vs %.1f baseline; want ≥ 2x — super-segment charging didn't bite",
+			on.KReqPerSec, off.KReqPerSec)
+	}
+	offWire := off.PktsPerReq + off.AcksPerReq
+	onWire := on.PktsPerReq + on.AcksPerReq
+	if onWire > 0.55*offWire {
+		t.Errorf("offload moves %.1f pkts+acks/req vs %.1f baseline; want ≤ 55%%",
+			onWire, offWire)
+	}
+	// Without offload every charged unit is one MSS chunk; with it the
+	// ack meter must be populated and the wire still carries MSS chunks.
+	if off.SegsPerReq != off.PktsPerReq {
+		t.Errorf("offload-off segs/req %.2f != pkts/req %.2f", off.SegsPerReq, off.PktsPerReq)
+	}
+	if off.AcksPerReq == 0 || on.AcksPerReq == 0 || on.SegsPerReq == 0 {
+		t.Errorf("packet-economy meters silent: off acks %.1f, on acks %.1f, on segs %.1f",
+			off.AcksPerReq, on.AcksPerReq, on.SegsPerReq)
+	}
+	if on.P99Us > 1.10*off.P99Us {
+		t.Errorf("offload p99 %.0fµs regressed vs %.0fµs baseline", on.P99Us, off.P99Us)
 	}
 }

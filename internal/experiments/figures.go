@@ -240,49 +240,10 @@ func runSubtrace(sc ServerConfig, sizes []int64, warm, meas time.Duration, opt O
 	return out
 }
 
-// Fig10 — MERGED subtrace performance vs data set size (§5.5).
-func Fig10(opt Options) *Table {
-	t := &Table{
-		Title:   "Figure 10: MERGED subtrace performance (Mb/s)",
-		XLabel:  "data set",
-		Columns: []string{"Flash-Lite", "Flash", "Apache"},
-	}
-	sizes := subtraceSizes(opt.Quick)
-	warm, meas := 5*time.Second, 10*time.Second
-	if opt.Quick {
-		warm, meas = 3*time.Second, 5*time.Second
-	}
-	cols := make([][]float64, len(webServers))
-	for i, sc := range webServers {
-		cols[i] = runSubtrace(sc, sizes, warm, meas, opt)
-	}
-	for si, ds := range sizes {
-		row := Row{Label: fmt.Sprintf("%dMB", ds>>20)}
-		for i := range webServers {
-			row.Values = append(row.Values, cols[i][si])
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// Fig11 — optimization contributions: Flash-Lite with {GDS, LRU} × {cksum
-// cache on, off}, plus Flash for reference (§5.6).
-func Fig11(opt Options) *Table {
-	configs := []ServerConfig{
-		{Kind: httpd.FlashLite},
-		{Kind: httpd.FlashLite, Policy: "LRU"},
-		{Kind: httpd.FlashLite, NoCksumCache: true},
-		{Kind: httpd.FlashLite, Policy: "LRU", NoCksumCache: true},
-		{Kind: httpd.Flash},
-	}
-	t := &Table{
-		Title:  "Figure 11: optimization contributions (Mb/s)",
-		XLabel: "data set",
-		Columns: []string{
-			"FlashLite", "FlashLite LRU", "FlashLite no-ck", "FlashLite LRU no-ck", "Flash",
-		},
-	}
+// subtraceFigure runs each server configuration across the data-set
+// sweep, one column per configuration (Figures 10 and 11).
+func subtraceFigure(title string, configs []ServerConfig, columns []string, opt Options) *Table {
+	t := &Table{Title: title, XLabel: "data set", Columns: columns}
 	sizes := subtraceSizes(opt.Quick)
 	warm, meas := 5*time.Second, 10*time.Second
 	if opt.Quick {
@@ -300,6 +261,26 @@ func Fig11(opt Options) *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
+}
+
+// Fig10 — MERGED subtrace performance vs data set size (§5.5).
+func Fig10(opt Options) *Table {
+	return subtraceFigure("Figure 10: MERGED subtrace performance (Mb/s)",
+		webServers, []string{"Flash-Lite", "Flash", "Apache"}, opt)
+}
+
+// Fig11 — optimization contributions: Flash-Lite with {GDS, LRU} × {cksum
+// cache on, off}, plus Flash for reference (§5.6).
+func Fig11(opt Options) *Table {
+	return subtraceFigure("Figure 11: optimization contributions (Mb/s)",
+		[]ServerConfig{
+			{Kind: httpd.FlashLite},
+			{Kind: httpd.FlashLite, Policy: "LRU"},
+			{Kind: httpd.FlashLite, NoCksumCache: true},
+			{Kind: httpd.FlashLite, Policy: "LRU", NoCksumCache: true},
+			{Kind: httpd.Flash},
+		},
+		[]string{"FlashLite", "FlashLite LRU", "FlashLite no-ck", "FlashLite LRU no-ck", "Flash"}, opt)
 }
 
 // fig12Points are Figure 12's x-axis: the round-trip WAN delay, with the

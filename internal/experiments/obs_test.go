@@ -70,7 +70,7 @@ func TestChaosTraceAcceptance(t *testing.T) {
 // machine's service interval and worker-binned charges.
 func TestFCGINetRemoteWorkerTrace(t *testing.T) {
 	col := obs.New()
-	r := RunFCGINet(FCGINetParams{
+	r := RunFCGI(FCGIParams{
 		Placement: PlaceSockRemote,
 		Workers:   2,
 		Ref:       true,
@@ -162,12 +162,12 @@ func TestWebAndProxyTraceKinds(t *testing.T) {
 }
 
 // TestTracingOffIsFree pins the zero-cost claim end to end: the same
-// deterministic RunFCGINet with tracing off twice is bit-identical, and
+// deterministic RunFCGI with tracing off twice is bit-identical, and
 // tracing on moves throughput by at most the trace extension's 4 wire
 // bytes per record — within 2%.
 func TestTracingOffIsFree(t *testing.T) {
-	params := func(col *obs.Collector) FCGINetParams {
-		return FCGINetParams{
+	params := func(col *obs.Collector) FCGIParams {
+		return FCGIParams{
 			Placement: PlaceSockLocal,
 			Workers:   2,
 			Ref:       true,
@@ -176,12 +176,12 @@ func TestTracingOffIsFree(t *testing.T) {
 			Obs:       col,
 		}
 	}
-	off1 := RunFCGINet(params(nil))
-	off2 := RunFCGINet(params(nil))
+	off1 := RunFCGI(params(nil))
+	off2 := RunFCGI(params(nil))
 	if off1.Requests != off2.Requests || off1.KReqPerSec != off2.KReqPerSec {
 		t.Fatalf("untraced runs diverge: %d vs %d requests", off1.Requests, off2.Requests)
 	}
-	on := RunFCGINet(params(obs.New()))
+	on := RunFCGI(params(obs.New()))
 	if off1.Requests == 0 {
 		t.Fatal("no requests completed")
 	}

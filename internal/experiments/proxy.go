@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"iolite/internal/apps"
-	"iolite/internal/cache"
 	"iolite/internal/httpd"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/obs"
-	"iolite/internal/sim"
 )
 
 // The proxy experiment: clients → caching reverse proxy → origin server,
@@ -94,53 +92,20 @@ type ProxyResult struct {
 	P99Us float64
 }
 
-// originMachineConfig builds the kernel config for an origin (or direct)
-// server of the given kind, mirroring RunWeb.
-func originMachineConfig(sc ServerConfig, memBytes int64, offload bool) kernel.Config {
-	kcfg := kernel.Config{MemBytes: memBytes, Offload: offload}
-	if sc.Kind.Lite() {
-		if sc.Policy == "LRU" {
-			kcfg.Policy = cache.NewLRU()
-		} else {
-			kcfg.Policy = cache.NewGDS()
-		}
-		kcfg.ChecksumCache = !sc.NoCksumCache
-	}
-	return kcfg
-}
-
 // RunProxy executes one proxy-topology experiment.
 func RunProxy(pp ProxyParams) ProxyResult {
-	if pp.Docs == 0 {
-		pp.Docs = 8
-	}
-	if pp.DocBytes == 0 {
-		pp.DocBytes = 64 << 10
-	}
-	if pp.Clients == 0 {
-		pp.Clients = 32
-	}
-	if pp.ClientMachines == 0 {
-		pp.ClientMachines = 4
-	}
-	if pp.Tss == 0 {
-		pp.Tss = 64 << 10
-	}
-	if pp.Warmup == 0 {
-		pp.Warmup = 500 * time.Millisecond
-	}
-	if pp.Measure == 0 {
-		pp.Measure = 2 * time.Second
-	}
+	orDefault(&pp.Docs, 8)
+	orDefault(&pp.DocBytes, 64<<10)
+	orDefault(&pp.Clients, 32)
+	orDefault(&pp.ClientMachines, 4)
+	orDefault(&pp.Tss, 64<<10)
+	orDefault(&pp.Warmup, 500*time.Millisecond)
+	orDefault(&pp.Measure, 2*time.Second)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if pp.Obs != nil {
-		pp.Obs.Attach(eng, costs)
-	}
+	w := newWorld(pp.Obs, pp.Warmup, pp.Measure)
 
 	// Origin tier.
-	origin := kernel.NewMachine(eng, costs, originMachineConfig(pp.Origin, 0, pp.Offload))
+	origin := kernel.NewMachine(w.eng, w.costs, originMachineConfig(pp.Origin, 0, pp.Offload))
 	originLst := netsim.NewListener(origin.Host)
 	srvObs := pp.Obs
 	if !pp.Direct {
@@ -162,17 +127,16 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	// kernel with the checksum cache for the reference modes; the copying
 	// proxy is a conventional machine.
 	var px *apps.Proxy
-	var proxy *kernel.Machine
-	frontHost := origin.Host
 	frontLst := originLst
 	serveMachine := origin
+	refFront := pp.Origin.Kind.Lite()
 	if !pp.Direct {
-		proxy = kernel.NewMachine(eng, costs, kernel.Config{
+		proxy := kernel.NewMachine(w.eng, w.costs, kernel.Config{
 			ChecksumCache: pp.Mode.RefMode(),
 			Offload:       pp.Offload,
 		})
 		proxyLst := netsim.NewListener(proxy.Host)
-		originLink := netsim.NewLink(eng, proxy.Host, origin.Host, 100_000_000, 100*time.Microsecond)
+		originLink := netsim.NewLink(w.eng, proxy.Host, origin.Host, 100_000_000, 100*time.Microsecond)
 		px = apps.NewProxy(apps.ProxyConfig{
 			Mode:       pp.Mode,
 			Machine:    proxy,
@@ -183,52 +147,33 @@ func RunProxy(pp ProxyParams) ProxyResult {
 			Tss:        pp.Tss,
 			Obs:        pp.Obs,
 		})
-		frontHost = proxy.Host
 		frontLst = proxyLst
 		serveMachine = proxy
+		refFront = pp.Mode.RefMode()
 	}
 
 	// Client tier, dialing whichever machine fronts the topology.
-	refFront := pp.Origin.Kind.Lite()
-	if !pp.Direct {
-		refFront = pp.Mode.RefMode()
-	}
-	end := sim.Time(pp.Warmup + pp.Measure)
-	links := make([]*netsim.Link, pp.ClientMachines)
-	hosts := make([]*netsim.Host, pp.ClientMachines)
-	for i := range links {
-		hosts[i] = netsim.NewHost(eng, costs, fmt.Sprintf("client%d", i), false, nil, nil)
-		if pp.Offload {
-			hosts[i].SetOffload(true)
-		}
-		links[i] = netsim.NewLink(eng, hosts[i], frontHost, 100_000_000, 100*time.Microsecond)
-	}
-	stats := make([]httpd.ClientStats, pp.Clients)
-	lat := obs.NewHistogram()
-	for c := 0; c < pp.Clients; c++ {
-		c := c
-		rng := rand.New(rand.NewSource(pp.Seed + int64(c)*7919))
-		cfg := httpd.ClientConfig{
-			Host:       hosts[c%pp.ClientMachines],
-			Link:       links[c%pp.ClientMachines],
-			Listener:   frontLst,
-			Tss:        pp.Tss,
-			RefServer:  refFront,
-			Persistent: pp.Persistent,
-			Lat:        lat,
-			LatFrom:    sim.Time(pp.Warmup),
-		}
-		eng.Go(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-			httpd.RunClient(p, cfg, func() (string, bool) {
-				if p.Now() >= end {
-					return "", false
-				}
-				return paths[rng.Intn(len(paths))], true
-			}, &stats[c])
-		})
+	cs := w.spawnClients(clientTier{
+		Machines: pp.ClientMachines, Clients: pp.Clients,
+		Front: serveMachine.Host, Listener: frontLst, Offload: pp.Offload,
+		Tss: pp.Tss, RefServer: refFront, Persistent: pp.Persistent, Seed: pp.Seed,
+	}, func(rng *rand.Rand) string { return paths[rng.Intn(len(paths))] })
+
+	w.sample("active-spans", func() float64 { return float64(pp.Obs.ActiveSpans()) })
+	if px != nil {
+		w.sample("proxy-hit-rate", px.HitRate)
 	}
 
-	// Measurement window bookkeeping.
+	// Measurement window bookkeeping: the serving tier's request, byte and
+	// abort counters.
+	served := func() (reqs, bytes, aborted int64) {
+		if px != nil {
+			reqs, _, _, bytes, aborted = px.Stats()
+			return reqs, bytes, aborted
+		}
+		ss := srv.Stats()
+		return ss.Requests, ss.TotalBytes, ss.Aborted
+	}
 	var res ProxyResult
 	if pp.Direct {
 		res.Label = pp.Origin.Label() + " direct"
@@ -238,72 +183,45 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	if pp.Offload {
 		res.Label += " offl"
 	}
-	var warmBytes, warmReqs, warmAborted int64
-	eng.At(sim.Time(pp.Warmup), func() {
-		if px != nil {
-			var out int64
-			warmReqs, _, _, out, warmAborted = px.Stats()
-			warmBytes = out
-		} else {
-			ws := srv.Stats()
-			warmReqs, warmBytes, warmAborted = ws.Requests, ws.TotalBytes, ws.Aborted
-		}
-		var reset obs.ResetSet
-		reset.Add(costs, serveMachine.CPU(), pp.Obs)
-		if ck := serveMachine.CkCache; ck != nil {
-			reset.Add(ck)
-		}
-		reset.Add(serveMachine.Host)
-		for _, h := range hosts {
-			reset.Add(h)
-		}
-		reset.Reset()
-	})
-	if pp.Obs != nil {
-		pp.Obs.SampleEvery("active-spans", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(pp.Obs.ActiveSpans()) })
-		if px != nil {
-			pp.Obs.SampleEvery("proxy-hit-rate", sim.Duration(time.Millisecond), end,
-				func(sim.Time) float64 { return px.HitRate() })
-		}
+	w.reset.Add(serveMachine.CPU())
+	if ck := serveMachine.CkCache; ck != nil {
+		w.reset.Add(ck)
 	}
-	eng.At(end, func() {
-		var reqs, total, aborted int64
+	w.reset.Add(serveMachine.Host)
+	for _, h := range cs.hosts {
+		w.reset.Add(h)
+	}
+	var warmBytes, warmReqs, warmAborted int64
+	w.run(func() {
+		warmReqs, warmBytes, warmAborted = served()
+	}, func() {
+		reqs, total, aborted := served()
 		if px != nil {
-			reqs, _, _, total, aborted = px.Stats()
 			res.HitRate = px.HitRate()
-		} else {
-			ss := srv.Stats()
-			reqs, total, aborted = ss.Requests, ss.TotalBytes, ss.Aborted
 		}
 		res.Requests = reqs - warmReqs
 		res.Aborted = aborted - warmAborted
 		res.Mbps = float64(total-warmBytes) * 8 / pp.Measure.Seconds() / 1e6
-		res.CopiedMB = float64(costs.MeterCopiedBytes()) / (1 << 20)
+		res.CopiedMB = float64(w.costs.MeterCopiedBytes()) / (1 << 20)
 		if ck := serveMachine.CkCache; ck != nil {
 			res.CksumHitRate = ck.HitRate()
 		}
 		res.ServerCPUUtil = serveMachine.CPU().Utilization()
 		pkts, _, _, _ := serveMachine.Host.Stats()
 		acks := serveMachine.Host.AcksOut()
-		for _, h := range hosts {
+		for _, h := range cs.hosts {
 			acks += h.AcksOut()
 		}
 		if res.Requests > 0 {
 			res.PktsPerReq = float64(pkts) / float64(res.Requests)
 			res.SegsPerReq = float64(serveMachine.Host.SegsOut()) / float64(res.Requests)
 			res.AcksPerReq = float64(acks) / float64(res.Requests)
-			res.SyscallsPerReq = float64(costs.MeterSyscallCount()) / float64(res.Requests)
+			res.SyscallsPerReq = float64(w.costs.MeterSyscallCount()) / float64(res.Requests)
 		}
 		res.SegFill = serveMachine.Host.MeanSegFill()
 	})
-
-	eng.Run()
-	for i := range stats {
-		res.Errors += stats[i].Errors
-	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.Errors = cs.errors()
+	res.P50Us, res.P99Us = percentilesUs(cs.lat)
 	return res
 }
 

@@ -7,7 +7,6 @@ import (
 	"iolite/internal/fcgi"
 	"iolite/internal/kernel"
 	"iolite/internal/obs"
-	"iolite/internal/sim"
 )
 
 // The multi-tenant QoS study: thousands of well-behaved tenants share one
@@ -15,10 +14,8 @@ import (
 // hitter floods it with zero-think closed loops. Measured: what the flood
 // does to a victim's p99 (isolation), what enforcement costs when nobody
 // misbehaves (overhead), and where the aggressor's excess goes (sheds).
-// Enforcement is the PR's three QoS seams together: the pool's admission
-// control (per-tenant rate bucket + in-flight share) and within-weight
-// routing, and the transport's weighted fair queueing of send-window
-// admission.
+// Enforcement is the pool's admission control (per-tenant rate bucket +
+// in-flight share) together with its within-weight routing.
 
 // QoSParams describes one multi-tenant run.
 type QoSParams struct {
@@ -31,9 +28,9 @@ type QoSParams struct {
 	// simulated time).
 	Aggressor     bool
 	AggressorConc int
-	// QoS enables enforcement: transport WFQ plus pool admission
-	// control (MaxShare 2, ReqRate/ReqBurst below). Off, the pool is
-	// the strictly-FIFO shared pool of the earlier PRs.
+	// QoS enables enforcement: pool admission control (MaxShare 2,
+	// ReqRate/ReqBurst below). Off, the pool is the strictly-FIFO shared
+	// pool of the earlier PRs.
 	QoS bool
 	// ReqRate / ReqBurst are the per-unit-weight admitted requests/sec
 	// and burst when QoS is on (defaults 5 and 3 — 2× a tenant's fair
@@ -83,10 +80,7 @@ type QoSResult struct {
 	Sheds       int64
 	Throttles   int64
 	ShedsPerReq float64
-	// WFQGrants counts transport window wakeups arbitrated by virtual
-	// time (enforcement activity at the netsim seam).
-	WFQGrants int64
-	CPUUtil   float64
+	CPUUtil     float64
 }
 
 // aggTenant is the heavy hitter's tenant name.
@@ -94,53 +88,26 @@ const aggTenant = "aggressor"
 
 // RunQoS executes one multi-tenant QoS experiment.
 func RunQoS(fp QoSParams) QoSResult {
-	if fp.Tenants <= 0 {
-		fp.Tenants = 1000
-	}
-	if fp.AggressorConc <= 0 {
-		fp.AggressorConc = 32
-	}
-	if fp.Workers <= 0 {
-		fp.Workers = 4
-	}
-	if fp.Depth <= 0 {
-		fp.Depth = 16
-	}
-	if fp.DocBytes == 0 {
-		fp.DocBytes = 4 << 10
-	}
-	if fp.AppDelay == 0 {
-		fp.AppDelay = 200 * time.Microsecond
-	}
-	if fp.Think == 0 {
-		fp.Think = 400 * time.Millisecond
-	}
-	if fp.Warmup == 0 {
-		fp.Warmup = 300 * time.Millisecond
-	}
-	if fp.Measure == 0 {
-		fp.Measure = 1200 * time.Millisecond
-	}
-	if fp.ReqRate <= 0 {
-		fp.ReqRate = 5
-	}
-	if fp.ReqBurst <= 0 {
-		fp.ReqBurst = 3
-	}
+	orDefault(&fp.Tenants, 1000)
+	orDefault(&fp.AggressorConc, 32)
+	orDefault(&fp.Workers, 4)
+	orDefault(&fp.Depth, 16)
+	orDefault(&fp.DocBytes, 4<<10)
+	orDefault(&fp.AppDelay, 200*time.Microsecond)
+	orDefault(&fp.Think, 400*time.Millisecond)
+	orDefault(&fp.Warmup, 300*time.Millisecond)
+	orDefault(&fp.Measure, 1200*time.Millisecond)
+	orDefault(&fp.ReqRate, 5)
+	orDefault(&fp.ReqBurst, 3)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if fp.Obs != nil {
-		fp.Obs.Attach(eng, costs)
-	}
-	m := kernel.NewMachine(eng, costs, kernel.Config{})
+	w := newWorld(fp.Obs, fp.Warmup, fp.Measure)
+	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{})
 	srv := m.NewProcess("qos-srv", 2<<20)
 	m.Host.SetOffload(true)
 
 	var qcfg *fcgi.QoSConfig
 	tenants := obs.NewTenants()
 	if fp.QoS {
-		m.Host.SetWFQ(true)
 		qcfg = &fcgi.QoSConfig{
 			MaxShare: 2,
 			ReqRate:  fp.ReqRate,
@@ -150,10 +117,9 @@ func RunQoS(fp QoSParams) QoSResult {
 	}
 
 	// The pool rides a loopback socket transport (not a pipe) so the
-	// netsim send pump — and with QoS on, its weighted fair queueing —
-	// is in the measured path.
+	// netsim send pump is in the measured path.
 	transport := fcgi.NewLoopbackTransport(m, srv, true, 2<<20)
-	aggs := fcgi.NewAggCache()
+	app := newDocApp(true, fp.DocBytes, fp.AppDelay)
 	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
 		Machine:         m,
 		Server:          srv,
@@ -165,100 +131,37 @@ func RunQoS(fp QoSParams) QoSResult {
 		Name:            "qw",
 		Obs:             fp.Obs,
 		QoS:             qcfg,
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			m.Host.Use(p, 20*time.Microsecond)
-			p.Sleep(fp.AppDelay)
-			agg := aggs.GetOrPack(p, w, fp.DocBytes, func() []byte { return fcgiDoc(fp.DocBytes) })
-			req.Reply(p, agg, 0)
-		},
+		Handler:         app.serve,
 	})
-
-	end := sim.Time(fp.Warmup + fp.Measure)
-	params := []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))
-	lat := obs.NewHistogram()
-	latFrom := sim.Time(fp.Warmup)
-	var victimDone, aggDone, aggAttempts, failed int64
+	params := docParams(fp.DocBytes)
 
 	// The well-behaved population: one closed loop per tenant, thinking
 	// fp.Think between requests, start instants staggered across one
 	// think interval so the population doesn't arrive as a phased burst.
+	// A tenant over its allowance just thinks again; anything else is a
+	// real failure.
+	victims := &requesters{
+		w: w, pool: pool, kind: "qos", params: params, idempotent: true,
+		think: fp.Think, staggered: true, lat: obs.NewHistogram(),
+	}
 	for i := 0; i < fp.Tenants; i++ {
 		tenant := fmt.Sprintf("t%04d", i)
-		offset := sim.Duration(int64(fp.Think) * int64(i) / int64(fp.Tenants))
-		eng.Go(tenant, func(p *sim.Proc) {
-			p.Sleep(offset)
-			for p.Now() < end {
-				start := p.Now()
-				sp := fp.Obs.Start("qos", start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{
-					Params: params, Span: sp, Tenant: tenant, Idempotent: true,
-				})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					sp.Abandon()
-					if fcgi.IsShed(err) {
-						// A well-behaved tenant over its allowance just
-						// thinks again; anything else is a real failure.
-						p.Sleep(fp.Think)
-						continue
-					}
-					failed++
-					return
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				victimDone++
-				if start >= latFrom {
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-				p.Sleep(fp.Think)
-			}
-		})
+		offset := time.Duration(int64(fp.Think) * int64(i) / int64(fp.Tenants))
+		victims.spawn(tenant, tenant, offset, fp.Think)
 	}
 
 	// The heavy hitter: AggressorConc zero-think loops under ONE tenant
 	// identity, retrying immediately on success and after a short backoff
 	// on a shed (the backoff consumes simulated time, so an admission-
 	// control wall can't spin the engine at one instant).
+	aggr := &requesters{w: w, pool: pool, kind: "qos-agg", params: params, idempotent: true}
 	if fp.Aggressor {
 		for i := 0; i < fp.AggressorConc; i++ {
 			// Per-loop backoff jitter: without it all the loops shed in
 			// lockstep and their admission attempts arrive as periodic
 			// bursts the victims' tail can feel.
-			backoff := 2*sim.Millisecond + sim.Duration(i)*67*sim.Microsecond
-			eng.Go(fmt.Sprintf("agg%d", i), func(p *sim.Proc) {
-				for p.Now() < end {
-					start := p.Now()
-					aggAttempts++
-					sp := fp.Obs.Start("qos-agg", start)
-					if sp != nil {
-						p.SetAttrib(sp)
-					}
-					resp, err := pool.Do(p, fcgi.Request{
-						Params: params, Span: sp, Tenant: aggTenant, Idempotent: true,
-					})
-					if sp != nil {
-						p.SetAttrib(nil)
-					}
-					if err != nil {
-						sp.Abandon()
-						if fcgi.IsShed(err) {
-							p.Sleep(backoff)
-							continue
-						}
-						failed++
-						return
-					}
-					sp.Finish(p.Now())
-					resp.Release()
-					aggDone++
-				}
-			})
+			backoff := 2*time.Millisecond + time.Duration(i)*67*time.Microsecond
+			aggr.spawn(fmt.Sprintf("agg%d", i), aggTenant, 0, backoff)
 		}
 	}
 
@@ -271,23 +174,19 @@ func RunQoS(fp QoSParams) QoSResult {
 		enf = "on"
 	}
 	res := QoSResult{Label: fmt.Sprintf("%s qos=%s", label, enf)}
-	var warmVictim, warmAgg, warmAttempts int64
 	var warmSheds, warmThrottles int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.CPU(), m.Host, tenants, fp.Obs)
-	eng.At(sim.Time(fp.Warmup), func() {
-		warmVictim, warmAgg, warmAttempts = victimDone, aggDone, aggAttempts
+	w.reset.Add(m.CPU(), m.Host, tenants)
+	w.run(func() {
+		victims.snapshot()
+		aggr.snapshot()
 		warmSheds, warmThrottles = pool.Sheds()
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		vic := victimDone - warmVictim
-		agg := aggDone - warmAgg
+	}, func() {
+		vic := victims.measured()
+		agg := aggr.measured()
 		res.Requests = vic + agg
-		secs := fp.Measure.Seconds()
-		res.KReqPerSec = float64(vic+agg) / secs / 1e3
-		res.VictimKReqPerSec = float64(vic) / secs / 1e3
-		res.AggKReqPerSec = float64(agg) / secs / 1e3
+		res.KReqPerSec = w.kPerSec(vic + agg)
+		res.VictimKReqPerSec = w.kPerSec(vic)
+		res.AggKReqPerSec = w.kPerSec(agg)
 		sheds, throttles := pool.Sheds()
 		res.Sheds = sheds - warmSheds
 		res.Throttles = throttles - warmThrottles
@@ -295,19 +194,17 @@ func RunQoS(fp QoSParams) QoSResult {
 			res.ShedsPerReq = float64(res.Sheds+res.Throttles) / float64(res.Requests)
 		}
 		if vic > 0 && fp.Aggressor {
+			secs := fp.Measure.Seconds()
 			fair := float64(vic) / float64(fp.Tenants) / secs // one tenant's fair req/s
-			offered := float64(aggAttempts-warmAttempts) / secs
+			offered := float64(aggr.attempts-aggr.warmAttempts) / secs
 			res.AggOfferedX = offered / fair
 		}
-		res.WFQGrants = m.Host.WFQGrants()
 		res.CPUUtil = m.CPU().Utilization()
 	})
-	eng.Run()
-	if failed > 0 {
+	if failed := victims.failed + aggr.failed; failed > 0 {
 		panic(fmt.Sprintf("experiments: RunQoS had %d non-shed failures", failed))
 	}
-	res.VictimP50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.VictimP99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.VictimP50Us, res.VictimP99Us = percentilesUs(victims.lat)
 	return res
 }
 
@@ -345,8 +242,8 @@ func FigQoS(opt Options) *Table {
 			Measure:   meas,
 			Obs:       opt.Trace,
 		})
-		opt.progress("FigQoS %s: victim p99 %.0fµs, %.2f kreq/s (agg %.2f kreq/s, sheds/req %.2f, wfq %d, cpu %.2f)",
-			r.Label, r.VictimP99Us, r.KReqPerSec, r.AggKReqPerSec, r.ShedsPerReq, r.WFQGrants, r.CPUUtil)
+		opt.progress("FigQoS %s: victim p99 %.0fµs, %.2f kreq/s (agg %.2f kreq/s, sheds/req %.2f, cpu %.2f)",
+			r.Label, r.VictimP99Us, r.KReqPerSec, r.AggKReqPerSec, r.ShedsPerReq, r.CPUUtil)
 		row.Values = append(row.Values, r.VictimP99Us)
 		rs = append(rs, r)
 	}
@@ -361,7 +258,7 @@ func FigQoS(opt Options) *Table {
 			rs[1].VictimP99Us, rs[3].VictimP99Us, overhead,
 			rs[3].ShedsPerReq, rs[2].AggKReqPerSec, rs[3].AggKReqPerSec),
 		fmt.Sprintf("aggressor offered %.0f× one tenant's fair rate (conc %d, zero think)", rs[3].AggOfferedX, 32),
-		"enforcement: pool admission (share bound + per-tenant rate bucket), within-weight routing, transport WFQ",
+		"enforcement: pool admission (share bound + per-tenant rate bucket) and within-weight routing",
 		fmt.Sprintf("%d tenants, %s think, 4KB ref-mode docs over loopback socket, offload on", tenants, "400ms"))
 	return t
 }

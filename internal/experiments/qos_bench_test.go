@@ -8,7 +8,7 @@ import (
 
 // QoS benchmarks: the four {uniform, aggressor} × {off, on} legs as one
 // bench each, reporting victim p99, aggressor goodput, sheds/req, and the
-// WFQ/admission activity meters so the CI bench job (BENCH_qos.json)
+// admission activity meters so the CI bench job (BENCH_qos.json)
 // tracks isolation and enforcement overhead release over release. The
 // enforcement-overhead percentage is computed inside BenchmarkQoSUniformOn
 // by running its own QoS-off baseline.
@@ -31,7 +31,6 @@ func benchQoS(b *testing.B, qp QoSParams) QoSResult {
 			b.ReportMetric(r.AggKReqPerSec, "aggressor_kreq/s")
 			b.ReportMetric(r.ShedsPerReq, "sheds_per_req")
 			b.ReportMetric(float64(r.Sheds+r.Throttles), "sheds")
-			b.ReportMetric(float64(r.WFQGrants), "wfq_grants")
 			b.ReportMetric(r.CPUUtil, "cpu_util")
 		}
 	}

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"iolite/internal/mem"
 	"iolite/internal/netsim"
 	"iolite/internal/obs"
-	"iolite/internal/sim"
 	"iolite/internal/wload"
 )
 
@@ -52,6 +50,22 @@ var (
 	CfgFlash           = ServerConfig{Kind: httpd.Flash}
 	CfgApache          = ServerConfig{Kind: httpd.Apache}
 )
+
+// originMachineConfig builds the kernel config of a web server machine of
+// the given configuration: the IO-Lite kernel's unified cache policy and
+// checksum cache for the Lite kinds, a conventional kernel otherwise.
+func originMachineConfig(sc ServerConfig, memBytes int64, offload bool) kernel.Config {
+	kcfg := kernel.Config{MemBytes: memBytes, Offload: offload}
+	if sc.Kind.Lite() {
+		if sc.Policy == "LRU" {
+			kcfg.Policy = cache.NewLRU()
+		} else {
+			kcfg.Policy = cache.NewGDS()
+		}
+		kcfg.ChecksumCache = !sc.NoCksumCache
+	}
+	return kcfg
+}
 
 // WebParams describes one experiment run.
 type WebParams struct {
@@ -111,42 +125,16 @@ type WebResult struct {
 
 // RunWeb executes one experiment and returns its result.
 func RunWeb(wp WebParams) WebResult {
-	if wp.ClientMachines == 0 {
-		wp.ClientMachines = 5
-	}
-	if wp.Clients == 0 {
-		wp.Clients = 40
-	}
-	if wp.Tss == 0 {
-		wp.Tss = 64 << 10
-	}
-	if wp.MemBytes == 0 {
-		wp.MemBytes = 128 << 20
-	}
-	if wp.Warmup == 0 {
-		wp.Warmup = 2 * time.Second
-	}
-	if wp.Measure == 0 {
-		wp.Measure = 5 * time.Second
-	}
+	orDefault(&wp.ClientMachines, 5)
+	orDefault(&wp.Clients, 40)
+	orDefault(&wp.Tss, 64<<10)
+	orDefault(&wp.MemBytes, 128<<20)
+	orDefault(&wp.Warmup, 2*time.Second)
+	orDefault(&wp.Measure, 5*time.Second)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-
+	w := newWorld(wp.Obs, wp.Warmup, wp.Measure)
 	isLite := wp.Server.Kind.Lite()
-	kcfg := kernel.Config{MemBytes: wp.MemBytes}
-	if isLite {
-		if wp.Server.Policy == "LRU" {
-			kcfg.Policy = cache.NewLRU()
-		} else {
-			kcfg.Policy = cache.NewGDS()
-		}
-		kcfg.ChecksumCache = !wp.Server.NoCksumCache
-	}
-	m := kernel.NewMachine(eng, costs, kcfg)
-	if wp.Obs != nil {
-		wp.Obs.Attach(eng, costs)
-	}
+	m := kernel.NewMachine(w.eng, w.costs, originMachineConfig(wp.Server, wp.MemBytes, false))
 	lst := netsim.NewListener(m.Host)
 	srv := httpd.NewServer(httpd.Config{
 		Kind:     wp.Server.Kind,
@@ -192,51 +180,21 @@ func RunWeb(wp WebParams) WebResult {
 		panic("experiments: no workload configured")
 	}
 
-	// Client machines, links (with delay routers), clients.
-	end := sim.Time(wp.Warmup + wp.Measure)
-	links := make([]*netsim.Link, wp.ClientMachines)
-	hosts := make([]*netsim.Host, wp.ClientMachines)
-	for i := range links {
-		hosts[i] = netsim.NewHost(eng, costs, fmt.Sprintf("client%d", i), false, nil, nil)
-		links[i] = netsim.NewLink(eng, hosts[i], m.Host, 100_000_000, wp.Delay+100*time.Microsecond)
-	}
-	stats := make([]httpd.ClientStats, wp.Clients)
-	lat := obs.NewHistogram()
-	for c := 0; c < wp.Clients; c++ {
-		c := c
-		rng := rand.New(rand.NewSource(wp.Seed + int64(c)*7919))
-		cfg := httpd.ClientConfig{
-			Host:       hosts[c%wp.ClientMachines],
-			Link:       links[c%wp.ClientMachines],
-			Listener:   lst,
-			Tss:        wp.Tss,
-			RefServer:  isLite,
-			Persistent: wp.Persistent,
-			Lat:        lat,
-			LatFrom:    sim.Time(wp.Warmup),
-		}
-		eng.Go(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-			httpd.RunClient(p, cfg, func() (string, bool) {
-				if p.Now() >= end {
-					return "", false
-				}
-				return nextPath(rng), true
-			}, &stats[c])
-		})
-	}
+	// Client machines behind the delay routers.
+	cs := w.spawnClients(clientTier{
+		Machines: wp.ClientMachines, Clients: wp.Clients,
+		Front: m.Host, Listener: lst, Delay: wp.Delay,
+		Tss: wp.Tss, RefServer: isLite, Persistent: wp.Persistent, Seed: wp.Seed,
+	}, nextPath)
 
 	// Snapshot server counters at the warmup boundary and at the end.
 	var warmBytes, warmReqs int64
-	var reset obs.ResetSet
-	reset.Add(m.CPU(), m.Disk, m.FileCache, wp.Obs)
-	eng.At(sim.Time(wp.Warmup), func() {
+	w.reset.Add(m.CPU(), m.Disk, m.FileCache)
+	res := WebResult{Label: wp.Server.Label()}
+	w.run(func() {
 		ws := srv.Stats()
 		warmReqs, warmBytes = ws.Requests, ws.TotalBytes
-		reset.Reset()
-	})
-	var res WebResult
-	res.Label = wp.Server.Label()
-	eng.At(end, func() {
+	}, func() {
 		ss := srv.Stats()
 		res.Requests = ss.Requests - warmReqs
 		res.Mbps = float64(ss.TotalBytes-warmBytes) * 8 / wp.Measure.Seconds() / 1e6
@@ -252,12 +210,7 @@ func RunWeb(wp WebParams) WebResult {
 			res.HitRate = float64(hits) / float64(hits+misses)
 		}
 	})
-
-	eng.Run()
-	for i := range stats {
-		res.Errors += stats[i].Errors
-	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.Errors = cs.errors()
+	res.P50Us, res.P99Us = percentilesUs(cs.lat)
 	return res
 }

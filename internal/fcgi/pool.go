@@ -380,11 +380,6 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 		defer qosRelease()
 	}
 	if req.Tenant != "" {
-		// Tag the proc (netsim WFQ reads it at send-window admission) and
-		// the span for the request's lifetime in the pool.
-		prev := p.Tenant()
-		p.SetTenant(req.Tenant)
-		defer p.SetTenant(prev)
 		req.Span.SetTenant(req.Tenant)
 	}
 	replayable := wp.cfg.Replay && req.Idempotent

@@ -8,16 +8,6 @@ import (
 	"iolite/internal/sim"
 )
 
-// OpenFile resolves a path to its inode (name lookup + metadata, §4.2)
-// without creating a descriptor.
-//
-// Deprecated: use Open, which returns a file descriptor usable with the
-// unified IOLRead/IOLWrite/ReadPOSIX/WritePOSIX surface.
-func (m *Machine) OpenFile(p *sim.Proc, name string) *fsim.File {
-	m.syscall(p)
-	return m.FS.Lookup(p, name)
-}
-
 // loadExtent brings [off, off+n) of f into IO-Lite buffers with one
 // sequential disk read, sealing them. Data lands in page-aligned
 // chunk-sized buffers of the kernel file pool; the disk DMA engine fills

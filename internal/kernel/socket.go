@@ -1,74 +1,9 @@
 package kernel
 
 import (
-	"iolite/internal/core"
 	"iolite/internal/ipcsim"
-	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
-
-// SendIOL is IOL_write on a TCP socket: the aggregate passes to the network
-// subsystem by reference — mbufs point at the IO-Lite buffers out of line
-// (§4.1). Ownership of a transfers to the transport; buffers free as the
-// peer acknowledges. done, if non-nil, runs at full acknowledgment.
-//
-// Deprecated: new code should hold a socket descriptor (Accept/Connect)
-// and use the generic Machine.IOLWrite; this typed entry point remains for
-// callers that need the acknowledgment callback.
-func (m *Machine) SendIOL(p *sim.Proc, pr *Process, ep *netsim.Endpoint, a *core.Agg, done func()) {
-	m.syscall(p)
-	core.CheckReadable(a, pr.Domain)
-	m.Host.Use(p, sim.Duration(a.NumSlices())*m.Costs.AggOp)
-	core.Transfer(p, a, m.KernelDomain)
-	ep.Send(p, netsim.Payload{Agg: a}, done)
-}
-
-// SendCopy is write(2) on a TCP socket: the application's bytes are copied
-// into socket buffers (charged here), which then pin memory until
-// acknowledged — the conventional path with its double buffering.
-//
-// Deprecated: new code should use the generic Machine.WritePOSIX on a
-// socket descriptor; this remains for the acknowledgment callback.
-func (m *Machine) SendCopy(p *sim.Proc, ep *netsim.Endpoint, data []byte, done func()) {
-	m.syscall(p)
-	m.Host.Use(p, m.Costs.Copy(len(data)))
-	ep.Send(p, netsim.Payload{Data: data}, done)
-}
-
-// RecvCopy is read(2) on a socket: the next chunk is copied from socket
-// buffers into the application (copy charged).
-//
-// Deprecated: use the generic Machine.ReadPOSIX on a socket descriptor.
-func (m *Machine) RecvCopy(p *sim.Proc, ep *netsim.Endpoint) ([]byte, bool) {
-	m.syscall(p)
-	d, ok := ep.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	data := d.Bytes()
-	m.Host.Use(p, m.Costs.Copy(len(data)))
-	d.Release()
-	return data, true
-}
-
-// RecvIOL is IOL_read on a socket: early demultiplexing (§3.6) placed the
-// packet data where the process can be granted access, so no copy occurs.
-// The chunk arrives as received bytes (client senders are copy-mode) or as
-// an aggregate.
-//
-// Deprecated: this entry point flattens aggregate deliveries to a []byte,
-// losing the zero-copy reference. Use the generic Machine.IOLRead on a
-// socket descriptor, which returns a real *core.Agg.
-func (m *Machine) RecvIOL(p *sim.Proc, pr *Process, ep *netsim.Endpoint) ([]byte, bool) {
-	m.syscall(p)
-	d, ok := ep.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	data := d.Bytes()
-	d.Release()
-	return data, true
-}
 
 // corker is the capability of descriptors whose transport can gather
 // adjacent writes into full segments (sockets; see sockDesc.SetCork).
