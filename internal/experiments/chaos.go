@@ -115,6 +115,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	orDefault(&cp.Measure, 500*time.Millisecond)
 
 	w := newWorld(cp.Obs, cp.Warmup, cp.Measure)
+	defer w.eng.Close()
 	// The checksum cache is load-bearing under faults: a retransmitted ref
 	// segment re-checksums with one lookup per piece instead of re-paying
 	// the full pass, so recovery overhead is wire bytes, not CPU.
@@ -246,6 +247,7 @@ type StaleChaosResult struct {
 // served stale instead of failing the client.
 func RunStaleChaos() StaleChaosResult {
 	eng := sim.New()
+	defer eng.Close()
 	costs := sim.DefaultCosts()
 
 	origin := kernel.NewMachine(eng, costs, kernel.Config{ChecksumCache: true})

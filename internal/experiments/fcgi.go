@@ -135,6 +135,7 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 	orDefault(&fp.Measure, 1500*time.Millisecond)
 
 	w := newWorld(fp.Obs, fp.Warmup, fp.Measure)
+	defer w.eng.Close()
 	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{Offload: fp.Offload})
 	srv := m.NewProcess("fcgi-srv", 2<<20)
 

@@ -103,6 +103,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	orDefault(&pp.Measure, 2*time.Second)
 
 	w := newWorld(pp.Obs, pp.Warmup, pp.Measure)
+	defer w.eng.Close()
 
 	// Origin tier.
 	origin := kernel.NewMachine(w.eng, w.costs, originMachineConfig(pp.Origin, 0, pp.Offload))

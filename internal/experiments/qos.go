@@ -101,6 +101,7 @@ func RunQoS(fp QoSParams) QoSResult {
 	orDefault(&fp.ReqBurst, 3)
 
 	w := newWorld(fp.Obs, fp.Warmup, fp.Measure)
+	defer w.eng.Close()
 	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{})
 	srv := m.NewProcess("qos-srv", 2<<20)
 	m.Host.SetOffload(true)

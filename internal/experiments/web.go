@@ -133,6 +133,7 @@ func RunWeb(wp WebParams) WebResult {
 	orDefault(&wp.Measure, 5*time.Second)
 
 	w := newWorld(wp.Obs, wp.Warmup, wp.Measure)
+	defer w.eng.Close()
 	isLite := wp.Server.Kind.Lite()
 	m := kernel.NewMachine(w.eng, w.costs, originMachineConfig(wp.Server, wp.MemBytes, false))
 	lst := netsim.NewListener(m.Host)

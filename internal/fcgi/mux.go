@@ -3,6 +3,8 @@ package fcgi
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/kernel"
@@ -372,7 +374,10 @@ func (mx *Mux) fail(err error) {
 	}
 	mx.err = err
 	inflight := fmt.Errorf("%w: %w", ErrWorkerDied, err)
-	for _, st := range mx.streams {
+	// Ascending id order, not map order: the wake order decides which
+	// requester runs (and replays) first, so it must be deterministic.
+	for _, id := range slices.Sorted(maps.Keys(mx.streams)) {
+		st := mx.streams[id]
 		for _, rec := range st.recs {
 			rec.Release()
 		}

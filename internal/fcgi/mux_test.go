@@ -112,6 +112,53 @@ func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	b.eng.Run()
 }
 
+// TestMuxFailWakesInIDOrder kills the worker under ten in-flight
+// requests: the mux must fail them in ascending request id order, not in
+// map iteration order, so runs with failures are reproducible.
+func TestMuxFailWakesInIDOrder(t *testing.T) {
+	const n = 10
+	b := newBed()
+	worker := b.m.NewProcess("worker", 1<<20)
+	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
+	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
+	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), n)
+
+	b.eng.Go("worker", func(p *sim.Proc) {
+		c := NewConn(b.m, worker, reqR, respW, 0)
+		// Take every request's BEGIN and PARAMS, then die.
+		for i := 0; i < 2*n; i++ {
+			if _, err := c.ReadRecord(p); err != nil {
+				t.Errorf("worker read: %v", err)
+				return
+			}
+		}
+		b.m.Close(p, worker, respW)
+		b.m.Close(p, worker, reqR)
+	})
+
+	// Clients start in order and each allocates its id before it first
+	// blocks, so client i holds request id i+1.
+	var order []int
+	for i := 0; i < n; i++ {
+		i := i
+		b.eng.Go(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+			if _, err := mx.Do(p, Request{Params: []byte("/x")}); !errors.Is(err, ErrWorkerDied) {
+				t.Errorf("client %d: err = %v, want ErrWorkerDied", i, err)
+			}
+			order = append(order, i)
+		})
+	}
+	b.eng.Run()
+	if len(order) != n {
+		t.Fatalf("%d/%d requests returned", len(order), n)
+	}
+	for i, c := range order {
+		if c != i {
+			t.Fatalf("requests resumed in order %v, want ascending id order", order)
+		}
+	}
+}
+
 // TestWorkerEPIPEOnResponsePipe closes the server side of a worker's
 // connection while the worker is mid-response: the worker's STDOUT write
 // sees the simulated EPIPE, the error is counted on its conn, and the
