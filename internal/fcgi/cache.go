@@ -1,6 +1,9 @@
 package fcgi
 
 import (
+	"maps"
+	"slices"
+
 	"iolite/internal/core"
 	"iolite/internal/sim"
 )
@@ -73,14 +76,19 @@ func (c *AggCache) GetOrPack(p *sim.Proc, w *Worker, key int64, gen func() []byt
 // hook it to PoolConfig.OnRetire, or a respawned worker's predecessor
 // keeps its sealed documents pinned in the dead process's pool forever.
 func (c *AggCache) Drop(w *Worker) {
-	for _, agg := range c.docs[w] {
-		agg.Release()
+	// Ascending key order, not map order, for both loops: release order
+	// reaches the pool free lists and wake order decides which waiter
+	// runs first, so both must be deterministic.
+	docs := c.docs[w]
+	for _, key := range slices.Sorted(maps.Keys(docs)) {
+		docs[key].Release()
 	}
 	delete(c.docs, w)
 	// Wake anything parked on an in-flight pack; the packer still fills
 	// its (now-forgotten) slot, and woken waiters find it there.
-	for _, fq := range c.filling[w] {
-		fq.Wake(-1)
+	fills := c.filling[w]
+	for _, key := range slices.Sorted(maps.Keys(fills)) {
+		fills[key].Wake(-1)
 	}
 	delete(c.filling, w)
 }

@@ -46,17 +46,14 @@ const (
 	// pays a staging copy first — the conventional wire format cannot
 	// gather from references).
 	WireCopy WireMode = iota
-	// WireRef frames each record as one atomic buffer aggregate on a
-	// reference-mode pipe (§4.4): an 8-byte header generated in the
-	// sender's pool plus the sealed payload by reference. Zero copy
-	// charge for payload bytes; one pipe aggregate is exactly one record.
+	// WireRef frames each record as buffer aggregates on a same-machine
+	// reference channel (§4.4) — a reference-mode pipe or socket: an
+	// 8-byte header generated in the sender's pool plus the sealed
+	// payload by reference, with zero copy charge for payload bytes. A
+	// pipe delivers each record as one atomic aggregate; a socket
+	// delivers MSS-sized pieces. The reader reassembles from the
+	// aggregate stream either way, since the headers are self-describing.
 	WireRef
-	// WireRefStream frames aggregate records over a segmenting stream — a
-	// reference-mode socket between two processes on the same machine.
-	// Payloads still cross by reference with zero copy charge, but the
-	// transport delivers MSS-sized pieces, so records are reassembled
-	// from the aggregate stream instead of arriving atomically.
-	WireRefStream
 	// WireBoundary crosses a machine boundary. Sealed aggregates cannot
 	// be passed by reference to another machine, so the sender gathers
 	// the payload straight from its slices into the socket send buffer —
@@ -73,33 +70,22 @@ func (m WireMode) String() string {
 		return "copy"
 	case WireRef:
 		return "ref"
-	case WireRefStream:
-		return "ref-stream"
 	case WireBoundary:
 		return "boundary"
 	}
 	return "unknown"
 }
 
-// refWrite reports whether this direction writes aggregate records.
-func (m WireMode) refWrite() bool { return m == WireRef || m == WireRefStream }
-
-// streamRead reports whether inbound records are reassembled from an
-// aggregate stream rather than arriving atomically or as a byte FIFO.
-func (m WireMode) streamRead() bool { return m == WireRefStream || m == WireBoundary }
-
 // Conn frames records over one fd pair: rfd is the inbound record stream,
 // wfd the outbound one, both fds in process pr's table (a full-duplex
 // socket channel passes the same fd twice). Each direction follows its
-// own WireMode; NewConn infers modes from the descriptors (ref pipes
-// frame by aggregate, everything else by serialized bytes) and
-// NewConnModes lets a Transport pick explicitly.
+// own WireMode, which the Transport that wired the channel picks.
 type Conn struct {
 	m  *kernel.Machine
 	pr *kernel.Process
-	// id labels the connection (the worker index in a pool) for
-	// diagnostics; records carry only request ids, since a Conn is
-	// exactly one channel.
+	// id labels the connection (the worker index in a pool) in process
+	// names; records carry only request ids, since a Conn is exactly one
+	// channel.
 	id int
 
 	rfd, wfd     int
@@ -108,8 +94,8 @@ type Conn struct {
 	wlock lock
 
 	// rbuf reassembles copy-mode records across reads; rAgg reassembles
-	// stream-mode records across deliveries; scratch is the reusable
-	// POSIX read buffer.
+	// aggregate records across deliveries; scratch is the reusable POSIX
+	// read buffer.
 	rbuf    []byte
 	rAgg    *core.Agg
 	scratch []byte
@@ -146,25 +132,11 @@ type Conn struct {
 	writeErrs       int64
 }
 
-// NewConn wraps the fd pair as a record stream, inferring each
-// direction's wire mode from the descriptor behind the fd (RefMode): a
-// Conn over reference pipes frames by aggregate and a Conn over
-// conventional pipes frames by serialized bytes, with no configuration.
-func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int) *Conn {
-	rmode, wmode := WireCopy, WireCopy
-	if d, err := pr.Desc(rfd); err == nil && d.RefMode() {
-		rmode = WireRef
-	}
-	if d, err := pr.Desc(wfd); err == nil && d.RefMode() {
-		wmode = WireRef
-	}
-	return NewConnModes(m, pr, rfd, wfd, id, rmode, wmode)
-}
-
-// NewConnModes wraps the fd pair with explicit per-direction wire modes —
-// the constructor Transports use, since only the transport knows whether
-// a socket stays on-machine (WireRefStream keeps references) or crosses
-// to another one (WireBoundary must degrade to the single boundary copy).
+// NewConnModes wraps the fd pair as a record stream with explicit
+// per-direction wire modes. Only the transport knows whether a socket
+// stays on-machine (WireRef keeps references) or crosses to another one
+// (WireBoundary must degrade to the single boundary copy), so the modes
+// are the caller's to pick.
 func NewConnModes(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
 	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, id: id, rmode: rmode, wmode: wmode}
 	if d, err := pr.Desc(wfd); err == nil {
@@ -187,30 +159,10 @@ func (c *Conn) StallTime() sim.Duration {
 	return c.ep.StallTime() + c.ep.PeerStallTime()
 }
 
-// ID returns the connection's diagnostic id.
-func (c *Conn) ID() int { return c.id }
-
-// RefMode reports whether outbound payloads travel by reference.
-func (c *Conn) RefMode() bool { return c.wmode.refWrite() }
-
-// WriteMode and ReadMode report the per-direction wire modes.
-func (c *Conn) WriteMode() WireMode { return c.wmode }
-func (c *Conn) ReadMode() WireMode  { return c.rmode }
-
 // Stats reports records received, records sent, and write errors (the
 // peer's end of the outbound channel was gone — the simulated EPIPE).
 func (c *Conn) Stats() (in, out, writeErrs int64) {
 	return c.recsIn, c.recsOut, c.writeErrs
-}
-
-// packHeader places the 8 header bytes in the conn's pool as a sealed
-// single-slice aggregate. The header is generated in place — freshly
-// produced data, like a formatted response header's bytes, not a copy of
-// an existing object — so ref-mode framing charges buffer allocation and
-// aggregate work but zero copy bytes: the meter stays clean for the
-// "payload bytes copied" assertions the subsystem is built to win.
-func (c *Conn) packHeader(p *sim.Proc, hdr []byte) *core.Agg {
-	return core.FromOwnedSlice(c.pr.Pool.Pack(p, hdr))
 }
 
 // WriteRecord frames and sends one record. Ownership of rec.Agg passes to
@@ -232,90 +184,108 @@ func (c *Conn) WriteRecord(p *sim.Proc, rec Record) error {
 		c.writeErrs++
 		return ErrBroken
 	}
+	var err error
 	if c.ringOn {
 		// Ring mode needs no write lock: each queue entry is one whole
 		// framed record, so the flusher serializes at record granularity
 		// by construction.
-		return c.ringWriteRecord(p, rec, n)
+		err = c.ringWriteRecord(p, rec, n)
+	} else {
+		err = c.writeDirect(p, rec, n)
 	}
+	if err != nil {
+		c.writeErrs++
+		return err
+	}
+	if rec.Agg != nil {
+		rec.Agg.Release() // a ref frame's Concat reference survives
+	}
+	c.recsOut++
+	return nil
+}
+
+// writeDirect sends one record with a syscall per write under the write
+// lock.
+func (c *Conn) writeDirect(p *sim.Proc, rec Record, n int) error {
 	c.wlock.acquire(p)
 	defer c.wlock.release()
 	if c.closed {
 		// Closed while this record waited for the write lock. The fd
 		// numbers may already belong to a replacement channel — writing
 		// through them would corrupt an innocent stream.
-		c.writeErrs++
 		return ErrBroken
 	}
 
 	var hbuf [HeaderLen + TraceLen]byte
 	hdr := hbuf[:rec.Header.encode(hbuf[:])]
-
-	if c.wmode.refWrite() {
-		out := c.packHeader(p, hdr)
-		if rec.Agg != nil {
-			out.Concat(rec.Agg)
-		} else if len(rec.Bytes) > 0 {
-			// Copy-payload caller on a reference channel: the bytes are
-			// packed into pool buffers (the producer's copy, charged by
-			// PackBytes) and then travel by reference.
-			pay := core.PackBytes(p, c.pr.Pool, rec.Bytes)
-			out.Concat(pay)
-			pay.Release()
-		}
+	if c.wmode == WireRef {
+		out := c.frameRef(p, hdr, rec)
 		if err := c.m.IOLWrite(p, c.pr, c.wfd, out); err != nil {
 			out.Release()
-			c.writeErrs++
 			return err
 		}
-		if rec.Agg != nil {
-			rec.Agg.Release() // the conn's Concat reference survives
-		}
-		c.recsOut++
 		return nil
 	}
 
 	// Serialized modes: header then payload through the channel as
 	// bytes, corked so the 8-byte record header never becomes its own
-	// sub-MSS segment on a socket channel. WireCopy stages an aggregate
-	// payload into contiguous bytes first (a real copy, charged) — the
-	// conventional wire format cannot gather from references.
-	// WireBoundary gathers writev-style straight from the slices
-	// (aggregate walking only): the machine boundary's single charged
-	// copy per payload byte is the write into the socket send buffer
-	// itself, below.
+	// sub-MSS segment on a socket channel.
 	c.cork(p, true)
 	if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, hdr); err != nil {
-		c.writeErrs++
 		return err
 	}
 	if c.closed {
 		// Closed while the header write was blocked: the payload write
 		// would re-resolve wfd, which may be a reused number by now.
-		c.writeErrs++
 		return ErrBroken
 	}
 	if n > 0 {
-		pay := rec.Bytes
-		if rec.Agg != nil {
-			if c.wmode == WireBoundary {
-				c.m.Host.Use(p, sim.Duration(rec.Agg.NumSlices())*c.m.Costs.AggOp)
-			} else {
-				c.m.Host.Use(p, c.m.Costs.Copy(n))
-			}
-			pay = rec.Agg.Materialize()
-		}
-		if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, pay); err != nil {
-			c.writeErrs++
+		if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, c.stagePayload(p, rec, n)); err != nil {
 			return err
 		}
 	}
 	c.cork(p, false)
-	if rec.Agg != nil {
-		rec.Agg.Release()
-	}
-	c.recsOut++
 	return nil
+}
+
+// frameRef builds a record's WireRef frame: the header packed into the
+// conn's pool as a sealed single-slice aggregate, followed by the payload
+// by reference. The header is generated in place — freshly produced data,
+// like a formatted response header's bytes, not a copy of an existing
+// object — so ref-mode framing charges buffer allocation and aggregate
+// work but zero copy bytes: the meter stays clean for the "payload bytes
+// copied" assertions the subsystem is built to win. A copy-payload caller
+// on a reference channel has its bytes packed into pool buffers (the
+// producer's copy, charged by PackBytes), which then travel by reference.
+// rec.Agg keeps the caller's reference.
+func (c *Conn) frameRef(p *sim.Proc, hdr []byte, rec Record) *core.Agg {
+	out := core.FromOwnedSlice(c.pr.Pool.Pack(p, hdr))
+	if rec.Agg != nil {
+		out.Concat(rec.Agg)
+	} else if len(rec.Bytes) > 0 {
+		pay := core.PackBytes(p, c.pr.Pool, rec.Bytes)
+		out.Concat(pay)
+		pay.Release()
+	}
+	return out
+}
+
+// stagePayload returns a serialized record's n payload bytes. WireCopy
+// stages an aggregate payload into contiguous bytes first (a real copy,
+// charged) — the conventional wire format cannot gather from references.
+// WireBoundary gathers writev-style straight from the slices (aggregate
+// walking only): the machine boundary's single charged copy per payload
+// byte is the write into the socket send buffer itself.
+func (c *Conn) stagePayload(p *sim.Proc, rec Record, n int) []byte {
+	if rec.Agg == nil {
+		return rec.Bytes
+	}
+	if c.wmode == WireBoundary {
+		c.m.Host.Use(p, sim.Duration(rec.Agg.NumSlices())*c.m.Costs.AggOp)
+	} else {
+		c.m.Host.Use(p, c.m.Costs.Copy(n))
+	}
+	return rec.Agg.Materialize()
 }
 
 // cork scopes TCP_CORK around one serialized record's header+payload
@@ -333,86 +303,35 @@ func (c *Conn) cork(p *sim.Proc, on bool) {
 // ReadRecord blocks for the next inbound record. io.EOF means the peer
 // closed cleanly between records; io.ErrUnexpectedEOF means it died
 // mid-record (a crashed worker); ErrProtocol means the stream is corrupt.
-// On a reference pipe each pipe aggregate is exactly one record (writes
-// are atomic), so framing is a header split away; on stream modes records
-// are reassembled from aggregate deliveries; on a copy channel they are
-// reassembled from the byte stream.
+// Aggregate modes reassemble records from aggregate deliveries, a copy
+// channel from the byte stream; both refill directly or through the ring.
 func (c *Conn) ReadRecord(p *sim.Proc) (Record, error) {
 	if c.closed {
 		return Record{}, io.EOF
 	}
-	if c.ringOn {
-		// Ring reads coalesce deliveries, which merges what an atomic
-		// pipe would hand over as one-record aggregates — so every
-		// aggregate mode reassembles from the stream in ring mode (the
-		// headers are self-describing), and copy mode refills its byte
-		// buffer through the ring.
-		if c.rmode == WireCopy {
-			return c.readCopyRecord(p, c.ringFill)
-		}
-		return c.readStreamRecord(p, c.ringFillAgg)
+	if c.rmode == WireCopy {
+		return c.readCopyRecord(p)
 	}
-	switch {
-	case c.rmode == WireRef:
-		return c.readAtomicRecord(p)
-	case c.rmode.streamRead():
-		return c.readStreamRecord(p, c.fillAgg)
-	}
-	return c.readCopyRecord(p, c.fill)
+	return c.readStreamRecord(p)
 }
 
-// readAtomicRecord takes one whole record per reference-pipe aggregate.
-func (c *Conn) readAtomicRecord(p *sim.Proc) (Record, error) {
-	a, err := c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
-	if err != nil {
-		return Record{}, err
-	}
-	var hb [HeaderLen + TraceLen]byte
-	have := a.Len()
-	if have > len(hb) {
-		have = len(hb)
-	}
-	a.ReadAt(hb[:have], 0)
-	h, hlen, err := DecodeHeader(hb[:have])
-	if err != nil {
-		a.Release()
-		if err == ErrTruncated {
-			// Writes on a reference pipe are atomic: a record torn inside
-			// its header is corruption, there is no more to read.
-			err = ErrProtocol
-		}
-		return Record{}, err
-	}
-	a.DropFront(hlen)
-	want := int(h.Length)
-	if h.Type == RecEnd {
-		want = 0
-	}
-	if a.Len() != want {
-		a.Release()
-		return Record{}, ErrProtocol
-	}
-	c.recsIn++
-	return Record{Header: h, Agg: a}, nil
-}
-
-// readStreamRecord reassembles one record from a segmented aggregate
-// stream (sockets deliver MSS-sized pieces; a record may span several, a
-// delivery may hold several records). The payload keeps its buffer
-// identity: on a same-machine reference socket those are the sender's
-// sealed buffers, across a machine boundary they are the receive buffers
-// early demultiplexing filled — in both cases zero copy charge here. The
-// fill argument is what refills rAgg: direct per-delivery reads
-// (fillAgg) or coalesced ring reads (ringFillAgg).
-func (c *Conn) readStreamRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Record, error) {
-	if err := fill(p, HeaderLen); err != nil {
+// readStreamRecord reassembles one record from an aggregate stream. A
+// reference pipe delivers each record as one aggregate; a socket delivers
+// MSS-sized pieces, so a record may span several deliveries and a
+// delivery may hold several records; ring reads coalesce deliveries of
+// either. The payload keeps its buffer identity: on a same-machine
+// reference channel those are the sender's sealed buffers, across a
+// machine boundary they are the receive buffers early demultiplexing
+// filled — in both cases zero copy charge here.
+func (c *Conn) readStreamRecord(p *sim.Proc) (Record, error) {
+	if err := c.fillAgg(p, HeaderLen); err != nil {
 		return Record{}, err
 	}
 	var hb [HeaderLen + TraceLen]byte
 	c.rAgg.ReadAt(hb[:HeaderLen], 0)
 	have := HeaderLen
 	if hb[1]&FlagTraced != 0 {
-		if err := fill(p, HeaderLen+TraceLen); err != nil {
+		if err := c.fillAgg(p, HeaderLen+TraceLen); err != nil {
 			return Record{}, err
 		}
 		c.rAgg.ReadAt(hb[HeaderLen:], HeaderLen)
@@ -429,25 +348,49 @@ func (c *Conn) readStreamRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (R
 	// The header stays buffered until the whole record has arrived, so a
 	// peer that dies between a record's header and its payload reports
 	// io.ErrUnexpectedEOF (a torn record), never a clean end of stream.
-	if err := fill(p, hlen+want); err != nil {
+	if err := c.fillAgg(p, hlen+want); err != nil {
 		return Record{}, err
 	}
 	c.rAgg.DropFront(hlen)
 	c.recsIn++
-	if want == 0 {
-		return Record{Header: h}, nil
-	}
 	pay := c.rAgg
-	c.rAgg = pay.Split(want)
+	switch {
+	case pay.Len() == want:
+		// The buffer holds exactly this record — always so for a direct
+		// read of a reference pipe: hand the aggregate over whole.
+		c.rAgg = nil
+	case want == 0:
+		return Record{Header: h}, nil
+	default:
+		c.rAgg = pay.Split(want)
+	}
 	return Record{Header: h, Agg: pay}, nil
 }
 
-// fillAgg reads from the stream until at least n bytes are assembled.
+// fillAgg refills rAgg until at least n bytes are assembled. A direct
+// refill pays one IOLRead per delivery. A ring refill is one Submit + one
+// Reap: the ring's receive coalescing folds every ready delivery into a
+// single completion, and the MSG_WAITALL threshold (the bytes still
+// missing) keeps the op in flight until the record can complete — a 16 KB
+// record arriving as a dozen MSS deliveries costs one refill, not a dozen
+// reads.
 func (c *Conn) fillAgg(p *sim.Proc, n int) error {
 	for c.rAgg == nil || c.rAgg.Len() < n {
-		a, err := c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
+		have := 0
+		if c.rAgg != nil {
+			have = c.rAgg.Len()
+		}
+		var a *core.Agg
+		var err error
+		if c.ringOn {
+			c.rring.PrepIOLReadFull(c.rfd, int64(n-have), kernel.MaxIO)
+			cqe := c.ringRead(p)
+			a, err = cqe.Agg, cqe.Err
+		} else {
+			a, err = c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
+		}
 		if err != nil {
-			if err == io.EOF && c.rAgg != nil && c.rAgg.Len() > 0 {
+			if err == io.EOF && have > 0 {
 				return io.ErrUnexpectedEOF
 			}
 			return err
@@ -463,13 +406,13 @@ func (c *Conn) fillAgg(p *sim.Proc, n int) error {
 }
 
 // readCopyRecord reassembles one record from the conventional byte
-// stream, refilling rbuf through fill (direct reads or the ring).
-func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Record, error) {
-	if err := fill(p, HeaderLen); err != nil {
+// stream.
+func (c *Conn) readCopyRecord(p *sim.Proc) (Record, error) {
+	if err := c.fill(p, HeaderLen); err != nil {
 		return Record{}, err
 	}
 	if c.rbuf[1]&FlagTraced != 0 {
-		if err := fill(p, HeaderLen+TraceLen); err != nil {
+		if err := c.fill(p, HeaderLen+TraceLen); err != nil {
 			return Record{}, err
 		}
 	}
@@ -481,7 +424,7 @@ func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Rec
 	if h.Type == RecEnd {
 		want = 0
 	}
-	if err := fill(p, hlen+want); err != nil {
+	if err := c.fill(p, hlen+want); err != nil {
 		return Record{}, err
 	}
 	var pay []byte
@@ -493,14 +436,23 @@ func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Rec
 	return Record{Header: h, Bytes: pay}, nil
 }
 
-// fill reads from the copy-mode channel until at least n bytes are
-// buffered.
+// fill refills rbuf until at least n bytes are buffered: one ReadPOSIX
+// per delivery directly, or one coalesced ring read (as fillAgg).
 func (c *Conn) fill(p *sim.Proc, n int) error {
+	if c.scratch == nil {
+		c.scratch = make([]byte, 16<<10)
+	}
 	for len(c.rbuf) < n {
-		if c.scratch == nil {
-			c.scratch = make([]byte, 16<<10)
+		var got int
+		var err error
+		if c.ringOn {
+			need := min(n-len(c.rbuf), len(c.scratch))
+			c.rring.PrepReadPOSIXFull(c.rfd, int64(need), c.scratch)
+			cqe := c.ringRead(p)
+			got, err = int(cqe.Res), cqe.Err
+		} else {
+			got, err = c.m.ReadPOSIX(p, c.pr, c.rfd, c.scratch)
 		}
-		got, err := c.m.ReadPOSIX(p, c.pr, c.rfd, c.scratch)
 		if err != nil {
 			if err == io.EOF && len(c.rbuf) > 0 {
 				return io.ErrUnexpectedEOF

@@ -72,14 +72,14 @@ func TestConnFramesRecordsBothModes(t *testing.T) {
 		t.Run(fmt.Sprintf("ref=%v", ref), func(t *testing.T) {
 			b := newBed()
 			other := b.m.NewProcess("peer", 1<<20)
-			mode := ipcsim.ModeCopy
+			mode, wire := ipcsim.ModeCopy, WireCopy
 			if ref {
-				mode = ipcsim.ModeRef
+				mode, wire = ipcsim.ModeRef, WireRef
 			}
 			rfd, wfd := b.m.Pipe2(b.srv, other, mode)
 			back, backW := b.m.Pipe2(other, b.srv, mode)
-			sc := NewConn(b.m, b.srv, rfd, backW, 0)
-			oc := NewConn(b.m, other, back, wfd, 0)
+			sc := NewConnModes(b.m, b.srv, rfd, backW, 0, wire, wire)
+			oc := NewConnModes(b.m, other, back, wfd, 0, wire, wire)
 
 			payload := doc(100_000) // several copy-mode pipe buffers
 			b.eng.Go("peer", func(p *sim.Proc) {
@@ -155,8 +155,8 @@ func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeRef)
 	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeRef)
-	wconn := NewConn(b.m, worker, reqR, respW, 0)
-	sconn := NewConn(b.m, b.srv, respR, reqW, 0)
+	wconn := NewConnModes(b.m, worker, reqR, respW, 0, WireRef, WireRef)
+	sconn := NewConnModes(b.m, b.srv, respR, reqW, 0, WireRef, WireRef)
 
 	var served []byte
 	b.eng.Go("worker", func(p *sim.Proc) {
@@ -218,8 +218,8 @@ func TestConnThroughTee(t *testing.T) {
 	}
 	null := kernel.NewNullDesc(b.m)
 	tfd := other.Install(kernel.NewTeeDesc(b.m, wdesc, null))
-	oc := NewConn(b.m, other, -1, tfd, 0)
-	sc := NewConn(b.m, b.srv, rfd, -1, 0)
+	oc := NewConnModes(b.m, other, -1, tfd, 0, WireCopy, WireRef)
+	sc := NewConnModes(b.m, b.srv, rfd, -1, 0, WireRef, WireCopy)
 
 	payload := doc(5000)
 	b.eng.Go("peer", func(p *sim.Proc) {

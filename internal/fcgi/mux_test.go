@@ -72,10 +72,10 @@ func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
 	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
-	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), 4)
+	mx := NewMux(NewConnModes(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), 4)
 
 	b.eng.Go("worker", func(p *sim.Proc) {
-		c := NewConn(b.m, worker, reqR, respW, 0)
+		c := NewConnModes(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
 		// Drain the request records, then emit a record header promising
 		// 5000 payload bytes, deliver half, and die.
 		for i := 0; i < 2; i++ {
@@ -121,10 +121,10 @@ func TestMuxFailWakesInIDOrder(t *testing.T) {
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
 	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
-	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), n)
+	mx := NewMux(NewConnModes(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), n)
 
 	b.eng.Go("worker", func(p *sim.Proc) {
-		c := NewConn(b.m, worker, reqR, respW, 0)
+		c := NewConnModes(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
 		// Take every request's BEGIN and PARAMS, then die.
 		for i := 0; i < 2*n; i++ {
 			if _, err := c.ReadRecord(p); err != nil {

@@ -2,7 +2,6 @@ package fcgi
 
 import (
 	"fmt"
-	"io"
 
 	"iolite/internal/core"
 	"iolite/internal/kernel"
@@ -51,58 +50,25 @@ func (c *Conn) EnableRing() {
 	c.m.Eng.Go(fmt.Sprintf("fcgi.ringflush%d", c.id), c.ringFlusher)
 }
 
-// RingStats reports ops carried and Submit/Reap syscalls across both of
-// the connection's rings — the batching ratio ring mode exists to raise.
-// Zeros when ring mode is off.
-func (c *Conn) RingStats() (ops, submits, reaps int64) {
-	if !c.ringOn {
-		return 0, 0, 0
-	}
-	for _, r := range []*uring.Ring{c.wring, c.rring} {
-		o, s, rp := r.Stats()
-		ops, submits, reaps = ops+o, submits+s, reaps+rp
-	}
-	return ops, submits, reaps
-}
-
 // ringWriteRecord frames rec (charged to the caller, like the direct
 // path), queues it, and parks until the flusher reports the op's outcome.
-// Ownership follows WriteRecord's contract: rec.Agg passes to the
-// connection on success and stays the caller's on error (a failed ref-mode
+// WriteRecord settles ownership as on the direct path; a failed ref-mode
 // op releases the framed aggregate — and with it the Concat references —
-// inside the ring).
+// inside the ring.
 func (c *Conn) ringWriteRecord(p *sim.Proc, rec Record, n int) error {
 	if c.ringClosed {
-		c.writeErrs++
 		return kernel.ErrClosed
 	}
 	var hbuf [HeaderLen + TraceLen]byte
 	hdr := hbuf[:rec.Header.encode(hbuf[:])]
 
 	w := &ringWrite{}
-	if c.wmode.refWrite() {
-		out := c.packHeader(p, hdr)
-		if rec.Agg != nil {
-			out.Concat(rec.Agg)
-		} else if len(rec.Bytes) > 0 {
-			pay := core.PackBytes(p, c.pr.Pool, rec.Bytes)
-			out.Concat(pay)
-			pay.Release()
-		}
-		w.agg = out
+	if c.wmode == WireRef {
+		w.agg = c.frameRef(p, hdr, rec)
 	} else {
 		w.hdr = append([]byte(nil), hdr...)
 		if n > 0 {
-			pay := rec.Bytes
-			if rec.Agg != nil {
-				if c.wmode == WireBoundary {
-					c.m.Host.Use(p, sim.Duration(rec.Agg.NumSlices())*c.m.Costs.AggOp)
-				} else {
-					c.m.Host.Use(p, c.m.Costs.Copy(n))
-				}
-				pay = rec.Agg.Materialize()
-			}
-			w.pay = pay
+			w.pay = c.stagePayload(p, rec, n)
 		}
 	}
 
@@ -111,15 +77,7 @@ func (c *Conn) ringWriteRecord(p *sim.Proc, rec Record, n int) error {
 	for !w.done {
 		w.wake.Wait(p)
 	}
-	if w.err != nil {
-		c.writeErrs++
-		return w.err
-	}
-	if rec.Agg != nil {
-		rec.Agg.Release() // the framed record's Concat reference survives
-	}
-	c.recsOut++
-	return nil
+	return w.err
 }
 
 // ringFlusher is the connection's write-batching process: park until
@@ -180,63 +138,10 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 	}
 }
 
-// ringFillAgg refills the aggregate reassembly buffer through the read
-// ring: one Submit + one Reap per refill, with the ring's receive
-// coalescing folding every ready delivery into a single completion and
-// the MSG_WAITALL threshold (Need = the bytes still missing) keeping the
-// op in flight until the record can complete — a 16 KB record arriving as
-// a dozen MSS deliveries costs one refill, not a dozen reads. Ring mode
-// reassembles ALL aggregate wire modes from the stream — coalescing
-// merges what an atomic pipe would deliver as one-record aggregates, and
-// the self-describing headers make the stream decoder correct for both.
-func (c *Conn) ringFillAgg(p *sim.Proc, n int) error {
-	for c.rAgg == nil || c.rAgg.Len() < n {
-		have := int64(0)
-		if c.rAgg != nil {
-			have = int64(c.rAgg.Len())
-		}
-		c.rring.PrepIOLReadFull(c.rfd, int64(n)-have, kernel.MaxIO)
-		c.rring.Submit(p)
-		for _, cqe := range c.rring.Reap(p, 1) {
-			if cqe.Err != nil {
-				if cqe.Err == io.EOF && c.rAgg != nil && c.rAgg.Len() > 0 {
-					return io.ErrUnexpectedEOF
-				}
-				return cqe.Err
-			}
-			if c.rAgg == nil {
-				c.rAgg = cqe.Agg
-			} else {
-				c.rAgg.Concat(cqe.Agg)
-				cqe.Agg.Release()
-			}
-		}
-	}
-	return nil
-}
-
-// ringFill is ringFillAgg's copy-mode sibling: refill the byte
-// reassembly buffer with one coalesced ring read.
-func (c *Conn) ringFill(p *sim.Proc, n int) error {
-	for len(c.rbuf) < n {
-		if c.scratch == nil {
-			c.scratch = make([]byte, 16<<10)
-		}
-		need := int64(n - len(c.rbuf))
-		if need > int64(len(c.scratch)) {
-			need = int64(len(c.scratch))
-		}
-		c.rring.PrepReadPOSIXFull(c.rfd, need, c.scratch)
-		c.rring.Submit(p)
-		for _, cqe := range c.rring.Reap(p, 1) {
-			if cqe.Err != nil {
-				if cqe.Err == io.EOF && len(c.rbuf) > 0 {
-					return io.ErrUnexpectedEOF
-				}
-				return cqe.Err
-			}
-			c.rbuf = append(c.rbuf, c.scratch[:cqe.Res]...)
-		}
-	}
-	return nil
+// ringRead submits the one read op staged on rring and reaps its
+// completion — the ring half of fill and fillAgg. Every submitted op
+// completes with exactly one CQE, so the reap returns it.
+func (c *Conn) ringRead(p *sim.Proc) kernel.CQE {
+	c.rring.Submit(p)
+	return c.rring.Reap(p, 1)[0]
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iolite/internal/core"
+	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
@@ -47,70 +48,115 @@ func (sb *sockBed) conns(ref bool, respWire WireMode) (srvConn, wkrConn *Conn) {
 	return srvConn, wkrConn
 }
 
-// TestConnFramesOverSocketStream drives records through every socket wire
-// mode. The sizes straddle MSS segment boundaries and the 64 KB socket
+// pipeConns is conns over a pipe instead of a socket: the worker writes
+// records in respWire mode into a pipe of the matching mode.
+func (sb *sockBed) pipeConns(respWire WireMode) (srvConn, wkrConn *Conn) {
+	mode := ipcsim.ModeCopy
+	if respWire == WireRef {
+		mode = ipcsim.ModeRef
+	}
+	rfd, wfd := sb.b.m.Pipe2(sb.b.srv, sb.wpr, mode)
+	wkrConn = NewConnModes(sb.wm, sb.wpr, -1, wfd, 0, WireCopy, respWire)
+	srvConn = NewConnModes(sb.b.m, sb.b.srv, rfd, -1, 0, respWire, WireCopy)
+	return srvConn, wkrConn
+}
+
+// TestConnFramesOverSocketStream drives records through every channel
+// and wire mode, with direct and ring I/O: one record decoder serves them
+// all. On sockets the sizes straddle MSS segment boundaries and the 64 KB
 // send window, so headers land mid-delivery and payloads span many
-// deliveries — the reassembly cases a pipe's atomic writes never hit.
+// deliveries; on a reference pipe each record arrives as one aggregate,
+// and ring reads may coalesce several into one delivery.
 func TestConnFramesOverSocketStream(t *testing.T) {
 	cases := []struct {
-		name        string
-		remote, ref bool
-		mode        WireMode
+		name              string
+		pipe, remote, ref bool
+		mode              WireMode
 	}{
-		{"copy", false, false, WireCopy},
-		{"ref-stream", false, true, WireRefStream},
-		{"boundary", true, false, WireBoundary},
+		{"copy", false, false, false, WireCopy},
+		{"ref-stream", false, false, true, WireRef},
+		{"boundary", false, true, false, WireBoundary},
+		{"pipe-copy", true, false, false, WireCopy},
+		{"pipe-ref", true, false, true, WireRef},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sb := newSockBed(tc.remote)
-			srvConn, wkrConn := sb.conns(tc.ref, tc.mode)
-			sizes := []int{40, 100_000, 5, 3000}
-			payloads := make([][]byte, len(sizes))
-			for i, n := range sizes {
-				payloads[i] = doc(n)
+		for _, ring := range []bool{false, true} {
+			name := tc.name
+			if ring {
+				name += "+ring"
 			}
-			sb.b.eng.Go("writer", func(p *sim.Proc) {
-				for i, pay := range payloads {
-					rec := Record{Header: Header{Type: RecStdout, ReqID: uint16(i + 1)}}
-					if tc.mode == WireCopy {
-						rec.Bytes = pay
-					} else {
-						rec.Agg = core.PackBytes(p, sb.wpr.Pool, pay)
-					}
-					if err := wkrConn.WriteRecord(p, rec); err != nil {
-						t.Errorf("WriteRecord %d: %v", i, err)
-						return
-					}
+			t.Run(name, func(t *testing.T) {
+				sb := newSockBed(tc.remote)
+				var srvConn, wkrConn *Conn
+				if tc.pipe {
+					srvConn, wkrConn = sb.pipeConns(tc.mode)
+				} else {
+					srvConn, wkrConn = sb.conns(tc.ref, tc.mode)
 				}
-				err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecEnd, Flags: FlagEndStream, ReqID: 1, Length: 7}})
-				if err != nil {
-					t.Errorf("WriteRecord END: %v", err)
+				if ring {
+					srvConn.EnableRing()
+					wkrConn.EnableRing()
 				}
+				frameAndCheck(t, sb, srvConn, wkrConn, tc.mode)
 			})
-			sb.b.eng.Go("reader", func(p *sim.Proc) {
-				for i, pay := range payloads {
-					rec, err := srvConn.ReadRecord(p)
-					if err != nil {
-						t.Errorf("ReadRecord %d: %v", i, err)
-						return
-					}
-					if rec.Type != RecStdout || rec.ReqID != uint16(i+1) {
-						t.Errorf("record %d: got %v req %d", i, rec.Type, rec.ReqID)
-					}
-					if !bytes.Equal(rec.payloadBytes(), pay) {
-						t.Errorf("record %d (%d bytes): payload corrupted across segments", i, len(pay))
-					}
-					rec.Release()
-				}
-				end, err := srvConn.ReadRecord(p)
-				if err != nil || end.Type != RecEnd || end.Length != 7 {
-					t.Errorf("END record = %+v, %v; want status 7", end.Header, err)
-				}
-				end.Release()
-			})
-			sb.b.eng.Run()
-		})
+		}
+	}
+}
+
+// frameAndCheck writes records of straddling sizes plus an END through
+// wkrConn and checks that srvConn reassembles each one intact, then
+// closes both conns.
+func frameAndCheck(t *testing.T, sb *sockBed, srvConn, wkrConn *Conn, mode WireMode) {
+	t.Helper()
+	sizes := []int{40, 100_000, 5, 3000}
+	payloads := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		payloads[i] = doc(n)
+	}
+	sb.b.eng.Go("writer", func(p *sim.Proc) {
+		for i, pay := range payloads {
+			rec := Record{Header: Header{Type: RecStdout, ReqID: uint16(i + 1)}}
+			if mode == WireCopy {
+				rec.Bytes = pay
+			} else {
+				rec.Agg = core.PackBytes(p, sb.wpr.Pool, pay)
+			}
+			if err := wkrConn.WriteRecord(p, rec); err != nil {
+				t.Errorf("WriteRecord %d: %v", i, err)
+				return
+			}
+		}
+		err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecEnd, Flags: FlagEndStream, ReqID: 1, Length: 7}})
+		if err != nil {
+			t.Errorf("WriteRecord END: %v", err)
+		}
+	})
+	sb.b.eng.Go("reader", func(p *sim.Proc) {
+		defer wkrConn.Close(p)
+		defer srvConn.Close(p)
+		for i, pay := range payloads {
+			rec, err := srvConn.ReadRecord(p)
+			if err != nil {
+				t.Errorf("ReadRecord %d: %v", i, err)
+				return
+			}
+			if rec.Type != RecStdout || rec.ReqID != uint16(i+1) {
+				t.Errorf("record %d: got %v req %d", i, rec.Type, rec.ReqID)
+			}
+			if !bytes.Equal(rec.payloadBytes(), pay) {
+				t.Errorf("record %d (%d bytes): payload corrupted across deliveries", i, len(pay))
+			}
+			rec.Release()
+		}
+		end, err := srvConn.ReadRecord(p)
+		if err != nil || end.Type != RecEnd || end.Length != 7 {
+			t.Errorf("END record = %+v, %v; want status 7", end.Header, err)
+		}
+		end.Release()
+	})
+	sb.b.eng.Run()
+	if n := sb.b.eng.LiveProcs(); n != 0 {
+		t.Errorf("%d procs still live after both conns closed", n)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //
 //	transport     ref-requested payloads     copy charge per payload byte
 //	pipe          by reference (WireRef)     0
-//	sock-local    by reference (WireRefStream) 0 (plus per-packet protocol work)
+//	sock-local    by reference (WireRef)     0 (plus per-packet protocol work)
 //	sock-remote   degrade (WireBoundary)     exactly 1 — the machine boundary
 //
 // Sealed aggregates cannot cross machines by reference, so a remote
@@ -260,10 +260,9 @@ func (t *SocketTransport) Connect(id int, name string) Channel {
 	sfd, wfd := kernel.SocketPair(t.M, t.Server, wm, wp, t.Link, opts)
 	respWire := WireCopy
 	if t.Ref {
+		respWire = WireRef
 		if t.Remote() {
 			respWire = WireBoundary
-		} else {
-			respWire = WireRefStream
 		}
 	}
 	return Channel{

@@ -2,6 +2,8 @@ package fcgi
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/sim"
@@ -114,8 +116,10 @@ type pendingReq struct {
 func Serve(p *sim.Proc, c *Conn, handler Handler) {
 	reqs := make(map[uint16]*pendingReq)
 	defer func() {
-		for _, pd := range reqs {
-			if pd.stdinAgg != nil {
+		// Ascending id order, not map order: release order reaches the
+		// pool free lists, so it must be deterministic.
+		for _, id := range slices.Sorted(maps.Keys(reqs)) {
+			if pd := reqs[id]; pd.stdinAgg != nil {
 				pd.stdinAgg.Release()
 			}
 		}

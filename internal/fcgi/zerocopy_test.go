@@ -117,3 +117,46 @@ func TestAcceptanceCopyModeChargesPayload(t *testing.T) {
 		t.Errorf("copy mode charged %d copied bytes, want ≥ %d (payload in+out)", copied, min)
 	}
 }
+
+// TestAggCacheDropWakesInKeyOrder retires a worker while sixteen keys are
+// mid-pack, each with a second handler parked on the miss: Drop must wake
+// the parked handlers in ascending key order, not in map iteration order,
+// so runs that retire workers are reproducible. The keys enter the cache
+// scrambled, so insertion order cannot pass for key order.
+func TestAggCacheDropWakesInKeyOrder(t *testing.T) {
+	const n = 16
+	b := newBed()
+	w := &Worker{Proc: b.m.NewProcess("worker", 4<<20)}
+	aggs := NewAggCache()
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i * 7 % n)
+	}
+	for _, key := range keys {
+		b.eng.Go(fmt.Sprintf("packer%d", key), func(p *sim.Proc) {
+			aggs.GetOrPack(p, w, key, func() []byte { return doc(4096) })
+		})
+	}
+	// A woken waiter finds the slot forgotten and packs the key itself,
+	// calling gen before it first yields: gen's call order is the wake
+	// order.
+	var resumed []int64
+	for _, key := range keys {
+		b.eng.Go(fmt.Sprintf("waiter%d", key), func(p *sim.Proc) {
+			aggs.GetOrPack(p, w, key, func() []byte {
+				resumed = append(resumed, key)
+				return doc(4096)
+			})
+		})
+	}
+	b.eng.Go("retire", func(p *sim.Proc) { aggs.Drop(w) })
+	b.eng.Run()
+	if len(resumed) != n {
+		t.Fatalf("%d/%d waiters resumed", len(resumed), n)
+	}
+	for i, key := range resumed {
+		if key != int64(i) {
+			t.Fatalf("waiters resumed in key order %v, want ascending", resumed)
+		}
+	}
+}

@@ -118,7 +118,7 @@ func (pp *Pipe) accountKernBuf() {
 // drains. Panics on a ref-mode pipe.
 func (pp *Pipe) Write(p *sim.Proc, data []byte) {
 	if pp.mode != ModeCopy {
-		panic("ipcsim: Write on ref-mode pipe; use WriteAgg")
+		panic("ipcsim: Write on ref-mode pipe; use PutAgg")
 	}
 	if pp.wClosed {
 		panic("ipcsim: write on closed pipe")
@@ -160,7 +160,7 @@ func (pp *Pipe) Write(p *sim.Proc, data []byte) {
 // syscall plus a physical copy out of the kernel buffer.
 func (pp *Pipe) Read(p *sim.Proc, dst []byte) int {
 	if pp.mode != ModeCopy {
-		panic("ipcsim: Read on ref-mode pipe; use ReadAgg")
+		panic("ipcsim: Read on ref-mode pipe; use TakeAgg")
 	}
 	for pp.bytes == 0 {
 		if pp.wClosed || pp.rClosed {
@@ -186,18 +186,12 @@ func (pp *Pipe) Read(p *sim.Proc, dst []byte) int {
 	return n
 }
 
-// WriteAgg sends an aggregate down a ref-mode pipe by reference: pointer
+// PutAgg sends an aggregate down a ref-mode pipe by reference: pointer
 // manipulation per slice and (first time per chunk) a read grant for the
 // reader's domain. Ownership of agg transfers to the pipe. Panics on a
 // copy-mode pipe. The syscall that carried the write is charged by the
-// descriptor layer's entry point, not here.
-func (pp *Pipe) WriteAgg(p *sim.Proc, agg *core.Agg) {
-	pp.PutAgg(p, agg)
-}
-
-// PutAgg is the kernel-internal enqueue (also used by the splice path). It
-// reports false when the reader is gone and the aggregate was discarded
-// (the caller's EPIPE).
+// descriptor layer's entry point, not here. PutAgg reports false when the
+// reader is gone and the aggregate was discarded (the caller's EPIPE).
 func (pp *Pipe) PutAgg(p *sim.Proc, agg *core.Agg) bool {
 	if pp.mode != ModeRef {
 		panic("ipcsim: PutAgg on copy-mode pipe; use Write")
@@ -226,14 +220,9 @@ func (pp *Pipe) PutAgg(p *sim.Proc, agg *core.Agg) bool {
 	return true
 }
 
-// ReadAgg receives the next aggregate from a ref-mode pipe (nil at EOF).
-// The caller owns the returned aggregate. As with WriteAgg, the carrying
+// TakeAgg receives the next aggregate from a ref-mode pipe (nil at EOF).
+// The caller owns the returned aggregate. As with PutAgg, the carrying
 // syscall is charged at the descriptor boundary.
-func (pp *Pipe) ReadAgg(p *sim.Proc) *core.Agg {
-	return pp.TakeAgg(p)
-}
-
-// TakeAgg is the kernel-internal dequeue (also used by the splice path).
 func (pp *Pipe) TakeAgg(p *sim.Proc) *core.Agg {
 	if pp.mode != ModeRef {
 		panic("ipcsim: TakeAgg on copy-mode pipe; use Read")

@@ -95,12 +95,12 @@ func TestRefPipeZeroCopyAndGrants(t *testing.T) {
 	ev.eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, ev.pool, want)
 		srcID = agg.Slices()[0].Buf.ID()
-		pp.WriteAgg(p, agg)
+		pp.PutAgg(p, agg)
 		pp.CloseWrite(p)
 	})
 	ev.eng.Go("reader", func(p *sim.Proc) {
 		for {
-			a := pp.ReadAgg(p)
+			a := pp.TakeAgg(p)
 			if a == nil {
 				return
 			}
@@ -136,7 +136,7 @@ func TestRefPipeCheaperThanCopyPipe(t *testing.T) {
 			if mode == ModeCopy {
 				pp.Write(p, pat(n))
 			} else {
-				pp.WriteAgg(p, core.PackBytes(nil, ev.pool, pat(n)))
+				pp.PutAgg(p, core.PackBytes(nil, ev.pool, pat(n)))
 			}
 			pp.CloseWrite(p)
 		})
@@ -147,7 +147,7 @@ func TestRefPipeCheaperThanCopyPipe(t *testing.T) {
 				}
 			} else {
 				for {
-					a := pp.ReadAgg(p)
+					a := pp.TakeAgg(p)
 					if a == nil {
 						break
 					}
@@ -221,8 +221,8 @@ func TestModeMismatchPanics(t *testing.T) {
 	rp := New(ev.eng, ev.costs, ev.cpu, ev.vm, ModeRef, ev.consD)
 	ev.eng.Go("t", func(p *sim.Proc) {
 		for _, f := range []func(){
-			func() { cp.WriteAgg(p, nil) },
-			func() { cp.ReadAgg(p) },
+			func() { cp.PutAgg(p, nil) },
+			func() { cp.TakeAgg(p) },
 			func() { rp.Write(p, []byte("x")) },
 			func() { rp.Read(p, make([]byte, 1)) },
 		} {

@@ -57,7 +57,7 @@ func (d *pipeDesc) takeAgg(p *sim.Proc, pr *Process) *core.Agg {
 		return a
 	}
 	if d.pp.Mode() == ipcsim.ModeRef {
-		return d.pp.ReadAgg(p)
+		return d.pp.TakeAgg(p)
 	}
 	buf := make([]byte, ipcsim.CapDefault)
 	n := d.pp.Read(p, buf)
@@ -136,7 +136,7 @@ func (d *pipeDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 		return ErrAgain
 	}
 	if d.pp.Mode() == ipcsim.ModeRef {
-		d.pp.WriteAgg(p, a)
+		d.pp.PutAgg(p, a)
 		return nil
 	}
 	// Copy-mode pipe: the aggregate's bytes enter the kernel FIFO by copy
@@ -186,7 +186,7 @@ func (d *pipeDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 	// Copy semantics over a reference pipe: pack the caller's bytes into
 	// fresh buffers (the producer's copy, charged by PackBytes), then pass
 	// by reference.
-	d.pp.WriteAgg(p, core.PackBytes(p, pr.Pool, src))
+	d.pp.PutAgg(p, core.PackBytes(p, pr.Pool, src))
 	return len(src), nil
 }
 

@@ -34,7 +34,7 @@ func (m *Machine) loadExtent(p *sim.Proc, f *fsim.File, off, n int64) *core.Agg 
 // readCached returns a caller-owned aggregate for [off, off+n) of f served
 // through the unified cache — the kernel-internal half of IOL_read, with no
 // user-domain grant and no per-slice boundary work. The splice path uses it
-// directly; IOLReadFile layers the user-facing costs on top.
+// directly; iolReadFile layers the user-facing costs on top.
 func (m *Machine) readCached(p *sim.Proc, f *fsim.File, off, n int64) *core.Agg {
 	if off+n > f.Size() {
 		n = f.Size() - off
@@ -51,27 +51,16 @@ func (m *Machine) readCached(p *sim.Proc, f *fsim.File, off, n int64) *core.Agg 
 	return a
 }
 
-// IOLReadFile is the IOL_read path for files (Fig. 2, §3.5): it returns a
+// iolReadFile is the IOL_read path for files (Fig. 2, §3.5) behind the
+// descriptor layer's and the submission ring's boundary crossing: a
 // buffer aggregate for [off, off+n) of the file, served from the unified
-// cache when possible, and makes the underlying chunks readable in the
+// cache when possible, with the underlying chunks made readable in the
 // calling process's domain. The caller owns the returned aggregate.
 //
 // Unlike POSIX read, no data is copied: a hit costs a lookup plus VM grants
 // (free in steady state); a miss additionally costs the disk read. The
 // snapshot the caller receives stays intact even if the cached extent is
 // later replaced by a writer (§3.5).
-//
-// Deprecated: this is the typed entry point kept for the descriptor layer
-// and for callers that manage inodes directly; new code should Open a file
-// descriptor and use the generic Machine.IOLRead.
-func (m *Machine) IOLReadFile(p *sim.Proc, pr *Process, f *fsim.File, off, n int64) *core.Agg {
-	m.syscall(p)
-	return m.iolReadFile(p, pr, f, off, n)
-}
-
-// iolReadFile is IOLReadFile minus the syscall charge — the form the
-// descriptor layer and the submission ring execute behind their own
-// boundary crossing.
 func (m *Machine) iolReadFile(p *sim.Proc, pr *Process, f *fsim.File, off, n int64) *core.Agg {
 	a := m.readCached(p, f, off, n)
 	m.Host.Use(p, sim.Duration(a.NumSlices())*m.Costs.AggOp)
@@ -79,27 +68,19 @@ func (m *Machine) iolReadFile(p *sim.Proc, pr *Process, f *fsim.File, off, n int
 	return a
 }
 
-// IOLReadPool is the §3.4 variant of IOL_read that places the data in
-// buffers from a caller-specified allocation pool, for applications
-// managing multiple I/O streams with different access-control lists. The
-// data is *not* entered into the shared file cache (its ACL is the pool's,
-// not the kernel's), so each call reads the backing store.
-//
-// Deprecated: new code should use OpenWithPool, which yields a descriptor
-// whose generic IOLRead takes this path.
-func (m *Machine) IOLReadPool(p *sim.Proc, pr *Process, pool *core.Pool, f *fsim.File, off, n int64) *core.Agg {
-	m.syscall(p)
-	return m.iolReadPool(p, pr, pool, f, off, n)
-}
-
-// iolReadPool is IOLReadPool minus the syscall charge.
+// iolReadPool is the §3.4 variant of IOL_read that places the data in
+// buffers from a caller-specified allocation pool (OpenWithPool), for
+// applications managing multiple I/O streams with different
+// access-control lists. The data is *not* entered into the shared file
+// cache (its ACL is the pool's, not the kernel's), so each call reads the
+// backing store.
 func (m *Machine) iolReadPool(p *sim.Proc, pr *Process, pool *core.Pool, f *fsim.File, off, n int64) *core.Agg {
 	a := m.readPool(p, pool, f, off, n)
 	core.Transfer(p, a, pr.Domain)
 	return a
 }
 
-// readPool is the kernel-internal half of IOLReadPool: the pool-directed
+// readPool is the kernel-internal half of iolReadPool: the pool-directed
 // read without the user-domain grant.
 func (m *Machine) readPool(p *sim.Proc, pool *core.Pool, f *fsim.File, off, n int64) *core.Agg {
 	if off+n > f.Size() {
@@ -126,20 +107,11 @@ func (m *Machine) readPool(p *sim.Proc, pool *core.Pool, f *fsim.File, off, n in
 	return a
 }
 
-// IOLWriteFile is the IOL_write path for files (Fig. 2, §3.5): the
+// iolWriteFile is the IOL_write path for files (Fig. 2, §3.5): the
 // aggregate's contents replace [off, off+len) of the file. The cache
 // entries covering that range are replaced — not overwritten — so
 // concurrent readers' snapshots persist. No data copy occurs; the file
 // system's write-behind picks the data up by reference.
-//
-// Deprecated: new code should Open a file descriptor and use the generic
-// Machine.IOLWrite.
-func (m *Machine) IOLWriteFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, a *core.Agg) {
-	m.syscall(p)
-	m.iolWriteFile(p, pr, f, off, a)
-}
-
-// iolWriteFile is IOLWriteFile minus the syscall charge.
 func (m *Machine) iolWriteFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, a *core.Agg) {
 	core.CheckReadable(a, pr.Domain) // writer must itself have access
 	n := int64(a.Len())
@@ -203,20 +175,11 @@ func (m *Machine) prewarmMmapFile(pr *Process, f *fsim.File) {
 	mc.pushFront(e)
 }
 
-// ReadPOSIXFile is the backward-compatible read(2): the kernel obtains the
-// data exactly as IOLReadFile would (through the unified cache) and then
-// copies it into the application's private buffer (§4.2: "a data copy
-// operation is used to move data between application buffers and IO-Lite
-// buffers").
-//
-// Deprecated: new code should Open a file descriptor and use the generic
-// Machine.ReadPOSIX.
-func (m *Machine) ReadPOSIXFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, dst []byte) int {
-	m.syscall(p)
-	return m.readPOSIXFile(p, pr, f, off, dst)
-}
-
-// readPOSIXFile is ReadPOSIXFile minus the syscall charge.
+// readPOSIXFile is the backward-compatible read(2) for files: the kernel
+// obtains the data exactly as iolReadFile would (through the unified
+// cache) and then copies it into the application's private buffer (§4.2:
+// "a data copy operation is used to move data between application buffers
+// and IO-Lite buffers").
 func (m *Machine) readPOSIXFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, dst []byte) int {
 	n := int64(len(dst))
 	if off+n > f.Size() {
@@ -232,18 +195,9 @@ func (m *Machine) readPOSIXFile(p *sim.Proc, pr *Process, f *fsim.File, off int6
 	return int(n)
 }
 
-// WritePOSIXFile is the backward-compatible write(2): the application's
-// bytes are copied into freshly allocated IO-Lite buffers, then follow the
-// IOL_write path.
-//
-// Deprecated: new code should Open a file descriptor and use the generic
-// Machine.WritePOSIX.
-func (m *Machine) WritePOSIXFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, src []byte) {
-	m.syscall(p)
-	m.writePOSIXFile(p, pr, f, off, src)
-}
-
-// writePOSIXFile is WritePOSIXFile minus the syscall charge.
+// writePOSIXFile is the backward-compatible write(2) for files: the
+// application's bytes are copied into freshly allocated IO-Lite buffers,
+// then follow the IOL_write path.
 func (m *Machine) writePOSIXFile(p *sim.Proc, pr *Process, f *fsim.File, off int64, src []byte) {
 	a := core.PackBytes(p, m.FilePool, src) // PackBytes charges the copy
 	m.FileCache.InvalidateOverlap(f.ID, off, int64(len(src)))

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"io"
 	"testing"
 
 	"iolite/internal/core"
@@ -15,7 +16,11 @@ func TestIOLReadPoolUsesCallersPoolAndACL(t *testing.T) {
 	other := m.NewProcess("other", 1<<20)
 	f := m.FS.Create("/doc", 100<<10)
 	run(t, e, func(p *sim.Proc) {
-		a := m.IOLReadPool(p, app, app.Pool, f, 0, f.Size())
+		fd, err := m.OpenWithPool(p, app, "/doc", app.Pool)
+		if err != nil {
+			t.Fatalf("OpenWithPool: %v", err)
+		}
+		a := readAt(t, p, m, app, fd, 0, f.Size())
 		defer a.Release()
 		if !a.Equal(m.FS.Expected(f, 0, f.Size())) {
 			t.Fatal("pool read returned wrong bytes")
@@ -49,11 +54,13 @@ func TestCGIFaultIsolation(t *testing.T) {
 	e, m := newMachine(Config{})
 	srv := m.NewProcess("srv", 1<<20)
 	cgi := m.NewProcess("cgi", 1<<20)
-	pipe := m.NewPipe(ipcsim.ModeRef, srv)
+	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
 	var served []byte
 	e.Go("cgi", func(p *sim.Proc) {
 		doc := core.PackBytes(p, cgi.Pool, []byte("legitimate content"))
-		pipe.WriteAgg(p, doc.Clone())
+		if err := m.IOLWrite(p, cgi, wfd, doc.Clone()); err != nil {
+			t.Errorf("IOLWrite: %v", err)
+		}
 
 		// After handing the document to the server, the CGI process tries
 		// to rewrite it in place — immutability must stop it.
@@ -66,12 +73,15 @@ func TestCGIFaultIsolation(t *testing.T) {
 			doc.Slices()[0].Buf.Write(0, []byte("EVIL"))
 		}()
 		doc.Release()
-		pipe.CloseWrite(p)
+		m.Close(p, cgi, wfd)
 	})
 	e.Go("srv", func(p *sim.Proc) {
 		for {
-			a := pipe.ReadAgg(p)
-			if a == nil {
+			a, err := m.IOLRead(p, srv, rfd, MaxIO)
+			if err != nil {
+				if err != io.EOF {
+					t.Errorf("IOLRead: %v", err)
+				}
 				return
 			}
 			served = append(served, a.Materialize()...)
@@ -90,8 +100,9 @@ func TestWriteRequiresAccess(t *testing.T) {
 	e, m := newMachine(Config{})
 	alice := m.NewProcess("alice", 1<<20)
 	mallory := m.NewProcess("mallory", 1<<20)
-	f := m.FS.Create("/secretcopy", 64)
+	m.FS.Create("/secretcopy", 64)
 	run(t, e, func(p *sim.Proc) {
+		fd := openT(t, p, m, mallory, "/secretcopy")
 		secret := core.PackBytes(p, alice.Pool, []byte("alice's private data"))
 		defer secret.Release()
 		defer func() {
@@ -99,7 +110,7 @@ func TestWriteRequiresAccess(t *testing.T) {
 				t.Error("mallory wrote data she cannot read")
 			}
 		}()
-		m.IOLWriteFile(p, mallory, f, 0, secret)
+		m.IOLWrite(p, mallory, fd, secret)
 	})
 	_ = mem.PageSize
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"iolite/internal/cache"
@@ -22,13 +23,34 @@ func run(t *testing.T, e *sim.Engine, body func(p *sim.Proc)) {
 	e.Run()
 }
 
+// openT opens name in pr's table, failing the test on error.
+func openT(t *testing.T, p *sim.Proc, m *Machine, pr *Process, name string) int {
+	t.Helper()
+	fd, err := m.Open(p, pr, name)
+	if err != nil {
+		t.Fatalf("Open %s: %v", name, err)
+	}
+	return fd
+}
+
+// readAt is IOLReadAt that fails the test on error.
+func readAt(t *testing.T, p *sim.Proc, m *Machine, pr *Process, fd int, off, n int64) *core.Agg {
+	t.Helper()
+	a, err := m.IOLReadAt(p, pr, fd, off, n)
+	if err != nil {
+		t.Fatalf("IOLReadAt(%d, %d): %v", off, n, err)
+	}
+	return a
+}
+
 func TestIOLReadServesCachedSecondRead(t *testing.T) {
 	e, m := newMachine(Config{})
 	f := m.FS.Create("/doc", 100<<10)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := openT(t, p, m, pr, "/doc")
 		t0 := p.Now()
-		a1 := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a1 := readAt(t, p, m, pr, fd, 0, f.Size())
 		coldCost := p.Now().Sub(t0)
 		want := m.FS.Expected(f, 0, f.Size())
 		if !a1.Equal(want) {
@@ -37,7 +59,7 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 		core.CheckReadable(a1, pr.Domain) // grants happened
 
 		t1 := p.Now()
-		a2 := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a2 := readAt(t, p, m, pr, fd, 0, f.Size())
 		hotCost := p.Now().Sub(t1)
 		if !a2.Equal(want) {
 			t.Fatal("second IOLRead wrong data")
@@ -53,8 +75,8 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 		a2.Release()
 	})
 	reads, _, _, _ := m.Disk.Stats()
-	if reads != 1 {
-		t.Fatalf("disk reads = %d, want 1 (metadata reads are separate)", reads)
+	if reads != 2 {
+		t.Fatalf("disk reads = %d, want 2 (Open's metadata read, then one data read)", reads)
 	}
 }
 
@@ -63,21 +85,23 @@ func TestIOLWriteReplacesAndPreservesSnapshot(t *testing.T) {
 	f := m.FS.Create("/doc", 8192)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
-		snap := m.IOLReadFile(p, pr, f, 0, 8192)
+		fd := openT(t, p, m, pr, "/doc")
+		snap := readAt(t, p, m, pr, fd, 0, 8192)
 		before := snap.Materialize()
 
-		// Writer replaces the whole extent with new content.
+		// Writer replaces the whole extent with new content (the
+		// positional read left the cursor at 0; IOL_write takes wa).
 		newData := bytes.Repeat([]byte{0xCD}, 8192)
-		wa := core.PackBytes(p, pr.Pool, newData)
-		m.IOLWriteFile(p, pr, f, 0, wa)
-		wa.Release()
+		if err := m.IOLWrite(p, pr, fd, core.PackBytes(p, pr.Pool, newData)); err != nil {
+			t.Fatalf("IOLWrite: %v", err)
+		}
 
 		// Snapshot semantics (§3.5).
 		if !snap.Equal(before) {
 			t.Error("reader snapshot disturbed by IOL_write")
 		}
 		// New readers see new data, from cache.
-		a := m.IOLReadFile(p, pr, f, 0, 8192)
+		a := readAt(t, p, m, pr, fd, 0, 8192)
 		if !a.Equal(newData) {
 			t.Error("IOLRead after write returned stale data")
 		}
@@ -96,20 +120,24 @@ func TestPOSIXReadCopiesAndCosts(t *testing.T) {
 	f := m.FS.Create("/doc", 64<<10)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := openT(t, p, m, pr, "/doc")
 		dst := make([]byte, f.Size())
-		m.ReadPOSIXFile(p, pr, f, 0, dst) // cold: disk + copy
+		if _, err := m.ReadPOSIX(p, pr, fd, dst); err != nil { // cold: disk + copy
+			t.Fatalf("read(2): %v", err)
+		}
 		if !bytes.Equal(dst, m.FS.Expected(f, 0, f.Size())) {
 			t.Fatal("read(2) returned wrong data")
 		}
 
 		// Warm read still pays the copy: that is the POSIX tax IOL_read
 		// removes.
+		m.Seek(p, pr, fd, 0, io.SeekStart)
 		t0 := p.Now()
-		m.ReadPOSIXFile(p, pr, f, 0, dst)
+		m.ReadPOSIX(p, pr, fd, dst)
 		warmPOSIX := p.Now().Sub(t0)
 
 		t1 := p.Now()
-		a := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a := readAt(t, p, m, pr, fd, 0, f.Size())
 		warmIOL := p.Now().Sub(t1)
 		a.Release()
 
@@ -121,13 +149,20 @@ func TestPOSIXReadCopiesAndCosts(t *testing.T) {
 
 func TestWritePOSIXRoundTrip(t *testing.T) {
 	e, m := newMachine(Config{})
-	f := m.FS.Create("/doc", 4096)
+	m.FS.Create("/doc", 4096)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := openT(t, p, m, pr, "/doc")
 		data := bytes.Repeat([]byte{7}, 3000)
-		m.WritePOSIXFile(p, pr, f, 500, data)
+		m.Seek(p, pr, fd, 500, io.SeekStart)
+		if _, err := m.WritePOSIX(p, pr, fd, data); err != nil {
+			t.Fatalf("write(2): %v", err)
+		}
 		dst := make([]byte, 3000)
-		m.ReadPOSIXFile(p, pr, f, 500, dst)
+		m.Seek(p, pr, fd, 500, io.SeekStart)
+		if _, err := m.ReadPOSIX(p, pr, fd, dst); err != nil {
+			t.Fatalf("read(2): %v", err)
+		}
 		if !bytes.Equal(dst, data) {
 			t.Fatal("write(2)/read(2) round trip failed")
 		}
@@ -176,9 +211,11 @@ func TestMemoryPressureEvictsFileCache(t *testing.T) {
 	_ = files
 	run(t, e, func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
-			f := m.FS.Create("/f"+string(rune('a'+i)), 1<<20)
-			a := m.IOLReadFile(p, pr, f, 0, f.Size())
-			a.Release()
+			name := "/f" + string(rune('a'+i))
+			f := m.FS.Create(name, 1<<20)
+			fd := openT(t, p, m, pr, name)
+			readAt(t, p, m, pr, fd, 0, f.Size()).Release()
+			m.Close(p, pr, fd)
 		}
 	})
 	if m.VM.Overcommitted() != 0 {
@@ -218,8 +255,8 @@ func TestGDSPolicyPluggable(t *testing.T) {
 	big := m.FS.Create("/big", 1<<20)
 	small := m.FS.Create("/small", 4<<10)
 	run(t, e, func(p *sim.Proc) {
-		m.IOLReadFile(p, pr, big, 0, big.Size()).Release()
-		m.IOLReadFile(p, pr, small, 0, small.Size()).Release()
+		readAt(t, p, m, pr, openT(t, p, m, pr, "/big"), 0, big.Size()).Release()
+		readAt(t, p, m, pr, openT(t, p, m, pr, "/small"), 0, small.Size()).Release()
 		m.FileCache.EvictOne()
 	})
 	if m.FileCache.Contains(cache.Key{File: small.ID, Off: 0, Len: small.Size()}) == false {
@@ -256,16 +293,21 @@ func TestRefPipeBetweenProcesses(t *testing.T) {
 	e, m := newMachine(Config{})
 	cgi := m.NewProcess("cgi", 1<<20)
 	srv := m.NewProcess("srv", 1<<20)
-	pipe := m.NewPipe(ipcsim.ModeRef, srv)
+	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
 	var got []byte
 	e.Go("cgi", func(p *sim.Proc) {
-		pipe.WriteAgg(p, core.PackBytes(p, cgi.Pool, []byte("hello over fbuf pipe")))
-		pipe.CloseWrite(p)
+		if err := m.IOLWrite(p, cgi, wfd, core.PackBytes(p, cgi.Pool, []byte("hello over fbuf pipe"))); err != nil {
+			t.Errorf("IOLWrite: %v", err)
+		}
+		m.Close(p, cgi, wfd)
 	})
 	e.Go("srv", func(p *sim.Proc) {
 		for {
-			a := pipe.ReadAgg(p)
-			if a == nil {
+			a, err := m.IOLRead(p, srv, rfd, MaxIO)
+			if err != nil {
+				if err != io.EOF {
+					t.Errorf("IOLRead: %v", err)
+				}
 				return
 			}
 			core.CheckReadable(a, srv.Domain)
@@ -295,17 +337,17 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 
 func TestIOLReadBeyondEOFTruncates(t *testing.T) {
 	e, m := newMachine(Config{})
-	f := m.FS.Create("/short", 1000)
+	m.FS.Create("/short", 1000)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
-		a := m.IOLReadFile(p, pr, f, 500, 10000)
+		fd := openT(t, p, m, pr, "/short")
+		a := readAt(t, p, m, pr, fd, 500, 10000)
 		if a.Len() != 500 {
 			t.Fatalf("Len = %d, want 500 (IOL_read may return less than asked)", a.Len())
 		}
 		a.Release()
-		empty := m.IOLReadFile(p, pr, f, 1000, 10)
-		if empty.Len() != 0 {
-			t.Fatal("read past EOF returned data")
+		if _, err := m.IOLReadAt(p, pr, fd, 1000, 10); err != io.EOF {
+			t.Fatalf("read at EOF: err = %v, want io.EOF", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"iolite/internal/ipcsim"
 	"iolite/internal/sim"
 )
 
@@ -68,14 +67,4 @@ func (m *Machine) SetNonblock(p *sim.Proc, pr *Process, fd int, on bool) error {
 	}
 	nb.setNonblock(on)
 	return nil
-}
-
-// NewPipe creates a pipe whose reader is process reader. IO-Lite machines
-// create reference-mode pipes for IOL-aware endpoints (§4.4); conventional
-// ones copy.
-//
-// Deprecated: use Pipe2, which installs both ends as file descriptors in
-// their processes' tables.
-func (m *Machine) NewPipe(mode ipcsim.Mode, reader *Process) *ipcsim.Pipe {
-	return ipcsim.New(m.Eng, m.Costs, m.CPU(), m.VM, mode, reader.Domain)
 }
