@@ -94,9 +94,9 @@ func TestGCCComputeBound(t *testing.T) {
 
 func TestWCWarmCacheNoDisk(t *testing.T) {
 	m := NewAppMachine(newWarm(1 << 20))
-	m.Disk.ResetStats()
+	m.Disk.ResetMeters()
 	WC(m, IOLite, testFile)
-	reads, _, _, _ := m.Disk.Stats()
+	reads := m.Disk.Stats().Reads
 	if reads != 0 {
 		t.Fatalf("wc on a warm file hit the disk %d times", reads)
 	}

@@ -146,10 +146,10 @@ func TestProxyRetryRecoversTransientOriginFailure(t *testing.T) {
 	if !bytes.Equal(body(raw), flakyDoc()) {
 		t.Fatalf("client got %d body bytes, want the %d-byte document", len(body(raw)), flakyDocSize)
 	}
-	if got := b.px.Retries(); got != 2 {
+	if got := b.px.Stats().Retries; got != 2 {
 		t.Errorf("retries=%d, want 2", got)
 	}
-	if _, _, _, _, aborted := b.px.Stats(); aborted != 0 {
+	if aborted := b.px.Stats().Aborted; aborted != 0 {
 		t.Errorf("aborted=%d, want 0 — retries must absorb the transient failure", aborted)
 	}
 }
@@ -180,16 +180,17 @@ func TestProxyServeStaleOnOriginOutage(t *testing.T) {
 			t.Errorf("%s response served wrong bytes (%d)", name, len(body(raw)))
 		}
 	}
-	if got := b.px.StaleServed(); got != 1 {
+	if got := b.px.Stats().StaleServed; got != 1 {
 		t.Errorf("staleServed=%d, want 1", got)
 	}
-	if _, _, _, _, aborted := b.px.Stats(); aborted != 0 {
+	if aborted := b.px.Stats().Aborted; aborted != 0 {
 		t.Errorf("aborted=%d, want 0 — the stale copy must stand in for the origin", aborted)
 	}
 	if b.served != 2 {
 		t.Errorf("origin served %d fetches, want 2 (warmup + post-recovery refresh)", b.served)
 	}
-	reqs, hits, misses, _, _ := b.px.Stats()
+	st := b.px.Stats()
+	reqs, hits, misses := st.Requests, st.Hits, st.Misses
 	if hits+misses != reqs {
 		t.Errorf("hit/miss accounting broke: %d + %d != %d", hits, misses, reqs)
 	}
@@ -216,8 +217,8 @@ func TestProxyDeadlineSheds504(t *testing.T) {
 	if !strings.HasPrefix(string(raw), "HTTP/1.1 504") {
 		t.Fatalf("client got %q, want a 504 status", raw)
 	}
-	if b.px.Shed() != 1 {
-		t.Errorf("shed=%d, want 1", b.px.Shed())
+	if b.px.Stats().Shed != 1 {
+		t.Errorf("shed=%d, want 1", b.px.Stats().Shed)
 	}
 	// Shedding means answering promptly: well before the 5 backoffs
 	// (>20ms) the retry schedule would otherwise wait out.

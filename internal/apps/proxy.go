@@ -144,15 +144,7 @@ type Proxy struct {
 	cache      map[string]*proxyEntry
 	cacheBytes int64
 
-	requests    int64
-	hits        int64
-	misses      int64
-	bytesOut    int64
-	aborted     int64
-	expired     int64
-	retries     int64
-	staleServed int64
-	shed        int64
+	stats ProxyStats
 
 	// rng drives retry jitter: a deterministic splitmix64 stream, so runs
 	// replay exactly (the simulation has no wall clock to perturb them).
@@ -177,48 +169,43 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 // Process returns the proxy's kernel process.
 func (px *Proxy) Process() *kernel.Process { return px.proc }
 
-// Stats reports requests relayed, cache hits/misses, bytes sent to
-// clients, and responses not fully delivered (a client write error, a
-// failed origin fetch answered 502, or a deadline shed answered 504).
-// Every request is exactly one hit or one miss — a stale-served request
-// counts as a miss that degraded — so hits+misses always equals requests.
-func (px *Proxy) Stats() (requests, hits, misses, bytesOut, aborted int64) {
-	return px.requests, px.hits, px.misses, px.bytesOut, px.aborted
+// ProxyStats are the proxy's counters. Every request is exactly one hit
+// or one miss — a stale-served request counts as a miss that degraded —
+// so Hits+Misses always equals Requests.
+type ProxyStats struct {
+	// Requests relayed, split into cache Hits and Misses.
+	Requests, Hits, Misses int64
+	// BytesOut is the bytes sent to clients.
+	BytesOut int64
+	// Aborted counts responses not fully delivered: a client write error,
+	// a failed origin fetch answered 502, or a deadline shed answered 504.
+	Aborted int64
+	// Expired counts cache entries a lookup retired for exceeding the
+	// configured TTL (each one turns that request into a miss).
+	Expired int64
+	// Retries counts origin-fetch attempts beyond each miss's first.
+	Retries int64
+	// StaleServed counts requests answered from a TTL-expired entry
+	// because the origin could not be reached (ServeStale mode).
+	StaleServed int64
+	// Shed counts requests answered 504 because the fetch deadline
+	// passed before the origin recovered.
+	Shed int64
 }
 
 // HitRate reports the fraction of requests served from the cache.
-func (px *Proxy) HitRate() float64 {
-	if px.hits+px.misses == 0 {
+func (s ProxyStats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
 		return 0
 	}
-	return float64(px.hits) / float64(px.hits+px.misses)
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Expired reports how many cache entries a lookup has retired for
-// exceeding the configured TTL (each one turns that request into a miss).
-func (px *Proxy) Expired() int64 { return px.expired }
+// Stats returns the proxy's counters.
+func (px *Proxy) Stats() ProxyStats { return px.stats }
 
-// Retries reports origin-fetch attempts beyond each miss's first — the
-// recovery work the degradation path performed.
-func (px *Proxy) Retries() int64 { return px.retries }
-
-// StaleServed reports requests answered from a TTL-expired entry because
-// the origin could not be reached (ServeStale mode).
-func (px *Proxy) StaleServed() int64 { return px.staleServed }
-
-// Shed reports requests answered 504 because the fetch deadline passed
-// before the origin recovered.
-func (px *Proxy) Shed() int64 { return px.shed }
-
-// ResetStats zeroes the counters (cache contents stay).
-func (px *Proxy) ResetStats() {
-	px.requests, px.hits, px.misses, px.bytesOut, px.aborted, px.expired = 0, 0, 0, 0, 0, 0
-	px.retries, px.staleServed, px.shed = 0, 0, 0
-}
-
-// ResetMeters aliases ResetStats so a proxy drops into an obs.ResetSet
-// alongside cost models, hosts, and collectors.
-func (px *Proxy) ResetMeters() { px.ResetStats() }
+// ResetMeters zeroes the counters (cache contents stay).
+func (px *Proxy) ResetMeters() { px.stats = ProxyStats{} }
 
 func (px *Proxy) acceptLoop(p *sim.Proc) {
 	for {
@@ -298,7 +285,7 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			// cache, pinned, as the fallback copy in case the refetch fails;
 			// otherwise it is evicted outright. In-flight senders of the old
 			// copy finish undisturbed either way (eviction pins busy entries).
-			px.expired++
+			px.stats.Expired++
 			if px.cfg.ServeStale {
 				stale = e
 				stale.inflight++
@@ -308,10 +295,10 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			e = nil
 		}
 		if e != nil {
-			px.hits++
+			px.stats.Hits++
 			e.inflight++
 		} else {
-			px.misses++
+			px.stats.Misses++
 			sp.Enter(p.Now(), obs.PhaseDispatch)
 			fresh, ferr := px.fetchRetry(p, path, sp)
 			switch {
@@ -324,16 +311,16 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 				// expired copy is still here. Serve it; the entry stays
 				// cached (and expired), so the next request tries the
 				// origin again.
-				px.staleServed++
+				px.stats.StaleServed++
 				e, stale = stale, nil // the pin transfers to the send below
 			default:
-				px.requests++
-				px.aborted++
+				px.stats.Requests++
+				px.stats.Aborted++
 				status := []byte("HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 				if errors.Is(ferr, kernel.ErrTimedOut) {
 					// The fetch deadline passed: shed with 504 instead of
 					// holding the client while backoff timers run out.
-					px.shed++
+					px.stats.Shed++
 					status = []byte("HTTP/1.1 504 Gateway Timeout\r\nContent-Length: 0\r\n\r\n")
 				}
 				px.m.WritePOSIX(p, px.proc, cfd, status)
@@ -343,7 +330,7 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 				return
 			}
 		}
-		px.requests++
+		px.stats.Requests++
 		e.last = p.Now()
 		sp.Enter(p.Now(), obs.PhaseSend)
 		var stallBase sim.Duration
@@ -369,11 +356,11 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 		p.SetAttrib(nil)
 		if !sent {
 			sp.Abandon()
-			px.aborted++
+			px.stats.Aborted++
 			px.m.Close(p, px.proc, cfd)
 			return
 		}
-		px.bytesOut += e.size
+		px.stats.BytesOut += e.size
 		sp.Finish(p.Now())
 
 		if !keepalive {
@@ -430,7 +417,7 @@ func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry
 		if px.cfg.Deadline > 0 && p.Now().Sub(start)+d >= px.cfg.Deadline {
 			return nil, fmt.Errorf("proxy: fetch %s after %d attempts: %w", path, attempt+1, kernel.ErrTimedOut)
 		}
-		px.retries++
+		px.stats.Retries++
 		if d > 0 {
 			// The backoff wait is its own phase: recovery idle time, not
 			// origin service time.

@@ -113,7 +113,8 @@ func TestProxyServesCorrectBytesAllModes(t *testing.T) {
 			if !bytes.Equal(got["/a"], want1) || !bytes.Equal(got["/b"], want2) {
 				t.Fatal("proxy served wrong bytes")
 			}
-			reqs, hits, misses, out, aborted := b.px.Stats()
+			st := b.px.Stats()
+			reqs, hits, misses, out, aborted := st.Requests, st.Hits, st.Misses, st.BytesOut, st.Aborted
 			if reqs != 4 || hits != 2 || misses != 2 {
 				t.Fatalf("stats: reqs=%d hits=%d misses=%d", reqs, hits, misses)
 			}
@@ -123,7 +124,7 @@ func TestProxyServesCorrectBytesAllModes(t *testing.T) {
 			if out <= f1.Size()*2 {
 				t.Fatalf("bytesOut=%d too small", out)
 			}
-			if hr := b.px.HitRate(); hr != 0.5 {
+			if hr := b.px.Stats().HitRate(); hr != 0.5 {
 				t.Fatalf("hit rate %.2f, want 0.50", hr)
 			}
 		})
@@ -140,22 +141,22 @@ func TestProxyHitAvoidsOriginAndCopies(t *testing.T) {
 	costs := b.proxy.Costs
 
 	b.fetch(t, []string{"/a"}) // cold: origin fetch + first client serve
-	_, _, originBytesOut0, _ := b.origin.Host.Stats()
+	originBytesOut0 := b.origin.Host.Stats().BytesOut
 
-	costs.ResetMeter()
-	b.proxy.CkCache.ResetStats()
+	costs.ResetMeters()
+	b.proxy.CkCache.ResetMeters()
 	got := b.fetch(t, []string{"/a", "/a"}) // warm: pure cache hits
 	if !bytes.Equal(got["/a"], want) {
 		t.Fatal("hit served wrong bytes")
 	}
-	_, _, originBytesOut1, _ := b.origin.Host.Stats()
+	originBytesOut1 := b.origin.Host.Stats().BytesOut
 	if originBytesOut1 != originBytesOut0 {
 		t.Errorf("cache hit contacted the origin (%d new bytes)", originBytesOut1-originBytesOut0)
 	}
-	if copied := costs.MeterCopiedBytes(); copied != 0 {
+	if copied := costs.Stats().CopiedBytes; copied != 0 {
 		t.Errorf("splice hit path charged %d copied bytes, want 0", copied)
 	}
-	_, _, hitB, missB := b.proxy.CkCache.Stats()
+	hitB, missB := b.proxy.CkCache.Stats().HitBytes, b.proxy.CkCache.Stats().MissBytes
 	// The first warm serve may still miss (the cold serve warmed the cache);
 	// by the second everything is cached, so hits must dominate overall.
 	if hitB < int64(f.Size()) {
@@ -185,7 +186,8 @@ func TestProxyCacheEviction(t *testing.T) {
 					t.Fatalf("%s served wrong bytes under eviction", path)
 				}
 			}
-			reqs, hits, misses, _, aborted := b.px.Stats()
+			st := b.px.Stats()
+			reqs, hits, misses, aborted := st.Requests, st.Hits, st.Misses, st.Aborted
 			if reqs != int64(len(seq)) || aborted != 0 {
 				t.Fatalf("reqs=%d aborted=%d", reqs, aborted)
 			}

@@ -37,15 +37,16 @@ func TestProxyTTLExpiresEntries(t *testing.T) {
 			if !bytes.Equal(got["/a"], want) {
 				t.Fatal("expired entry refetch served wrong bytes")
 			}
-			reqs, hits, misses, _, aborted := b.px.Stats()
+			st := b.px.Stats()
+			reqs, hits, misses, aborted := st.Requests, st.Hits, st.Misses, st.Aborted
 			if reqs != 3 || aborted != 0 {
 				t.Fatalf("reqs=%d aborted=%d", reqs, aborted)
 			}
 			if hits != 0 || misses != 3 {
 				t.Fatalf("hits=%d misses=%d; a 1µs TTL must expire every entry", hits, misses)
 			}
-			if b.px.Expired() != 2 {
-				t.Fatalf("expired=%d, want 2 (first request found no entry)", b.px.Expired())
+			if b.px.Stats().Expired != 2 {
+				t.Fatalf("expired=%d, want 2 (first request found no entry)", b.px.Stats().Expired)
 			}
 			// Expiry reclaimed the stale entries' resources (splice fds
 			// included): at most the listener plus one fd per live entry.
@@ -93,11 +94,11 @@ func TestProxyTTLGenerousKeepsServingFromCache(t *testing.T) {
 	if !bytes.Equal(got["/a"], want) {
 		t.Fatal("wrong bytes")
 	}
-	_, hits, misses, _, _ := b.px.Stats()
+	hits, misses := b.px.Stats().Hits, b.px.Stats().Misses
 	if hits != 2 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
 	}
-	if b.px.Expired() != 0 {
-		t.Fatalf("expired=%d, want 0", b.px.Expired())
+	if b.px.Stats().Expired != 0 {
+		t.Fatalf("expired=%d, want 0", b.px.Stats().Expired)
 	}
 }

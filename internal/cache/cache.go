@@ -8,7 +8,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/fsim"
@@ -83,12 +85,25 @@ type Cache struct {
 
 	entries map[Key]*Entry
 
-	hits, misses         int64
-	hitBytes, missBytes  int64
-	inserts, evictions   int64
-	invalidated          int64
-	replacedWhileShared  int64
-	evictionsWhileShared int64
+	stats Stats
+}
+
+// Stats are the cache's lookup and replacement counters.
+type Stats struct {
+	// Hits / Misses count lookups, HitBytes / MissBytes their extents.
+	Hits, Misses        int64
+	HitBytes, MissBytes int64
+	Inserts, Evictions  int64
+	// Invalidated counts entries an overlapping write dropped.
+	Invalidated int64
+}
+
+// HitRate reports the fraction of lookups that hit (0 when idle).
+func (s Stats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // New creates an empty cache with the given replacement policy.
@@ -125,12 +140,12 @@ func (c *Cache) Lookup(p *sim.Proc, k Key) *core.Agg {
 	}
 	e, ok := c.entries[k]
 	if !ok {
-		c.misses++
-		c.missBytes += k.Len
+		c.stats.Misses++
+		c.stats.MissBytes += k.Len
 		return nil
 	}
-	c.hits++
-	c.hitBytes += k.Len
+	c.stats.Hits++
+	c.stats.HitBytes += k.Len
 	e.lastUse = c.eng.Now()
 	c.policy.Touch(e)
 	return e.Agg.Clone()
@@ -164,7 +179,7 @@ func (c *Cache) Insert(p *sim.Proc, k Key, agg *core.Agg) {
 		e.refsHeld[s.Buf]++
 	}
 	c.entries[k] = e
-	c.inserts++
+	c.stats.Inserts++
 	c.policy.Add(e)
 	if p != nil {
 		p.Sleep(c.costs.CacheLookup)
@@ -175,9 +190,6 @@ func (c *Cache) Insert(p *sim.Proc, k Key, agg *core.Agg) {
 // Buffers still referenced elsewhere persist — that is what preserves
 // IOL_read snapshot semantics across replacement (§3.5).
 func (c *Cache) removeEntry(e *Entry) {
-	if e.Referenced() {
-		c.replacedWhileShared++
-	}
 	delete(c.entries, e.Key)
 	c.policy.Remove(e)
 	e.Agg.Release()
@@ -187,15 +199,22 @@ func (c *Cache) removeEntry(e *Entry) {
 // [off, off+n): an IOL_write replaces the corresponding buffers in the cache
 // (§3.5). It returns how many entries were dropped.
 func (c *Cache) InvalidateOverlap(file fsim.FileID, off, n int64) int {
-	dropped := 0
-	for k, e := range c.entries {
+	var hit []Key
+	for k := range c.entries {
 		if k.File == file && off < k.Off+k.Len && k.Off < off+n {
-			c.removeEntry(e)
-			c.invalidated++
-			dropped++
+			hit = append(hit, k)
 		}
 	}
-	return dropped
+	// Release in key order: which buffers return to their pool first
+	// must not depend on map iteration order.
+	slices.SortFunc(hit, func(a, b Key) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len))
+	})
+	for _, k := range hit {
+		c.removeEntry(c.entries[k])
+		c.stats.Invalidated++
+	}
+	return len(hit)
 }
 
 // EvictOne evicts the policy's chosen victim and returns its estimated page
@@ -206,12 +225,9 @@ func (c *Cache) EvictOne() int {
 	if e == nil {
 		return 0
 	}
-	if e.Referenced() {
-		c.evictionsWhileShared++
-	}
 	pages := e.Pages()
 	delete(c.entries, e.Key)
-	c.evictions++
+	c.stats.Evictions++
 	e.Agg.Release()
 	return pages
 }
@@ -240,21 +256,8 @@ func (c *Cache) Clear() {
 	}
 }
 
-// Stats reports hit/miss counters in lookups and bytes.
-func (c *Cache) Stats() (hits, misses, hitBytes, missBytes int64) {
-	return c.hits, c.misses, c.hitBytes, c.missBytes
-}
+// Stats returns the lookup and replacement counters.
+func (c *Cache) Stats() Stats { return c.stats }
 
-// EvictionStats reports insert/evict/invalidate counters.
-func (c *Cache) EvictionStats() (inserts, evictions, invalidated int64) {
-	return c.inserts, c.evictions, c.invalidated
-}
-
-// ResetStats zeroes the counters.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (c *Cache) ResetMeters() { c.ResetStats() }
-
-func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.hitBytes, c.missBytes = 0, 0, 0, 0
-	c.inserts, c.evictions, c.invalidated = 0, 0, 0
-}
+// ResetMeters zeroes the counters (cache contents stay).
+func (c *Cache) ResetMeters() { c.stats = Stats{} }

@@ -68,7 +68,8 @@ func TestLookupHitAndMiss(t *testing.T) {
 		if miss := ev.c.Lookup(p, Key{File: 2, Off: 0, Len: 10}); miss != nil {
 			t.Fatal("hit on absent key")
 		}
-		hits, misses, hb, mb := ev.c.Stats()
+		st := ev.c.Stats()
+		hits, misses, hb, mb := st.Hits, st.Misses, st.HitBytes, st.MissBytes
 		if hits != 1 || misses != 1 || hb != 5000 || mb != 10 {
 			t.Fatalf("stats: %d/%d %d/%d", hits, misses, hb, mb)
 		}

@@ -73,11 +73,21 @@ type cacheKey struct {
 type Cache struct {
 	entries map[cacheKey]PartialSum
 	max     int
+	stats   Stats
+}
 
-	hits      int64
-	misses    int64
-	hitBytes  int64
-	missBytes int64
+// Stats are the checksum cache's lookup counters, in slices and bytes.
+type Stats struct {
+	Hits, Misses        int64
+	HitBytes, MissBytes int64
+}
+
+// HitRate reports the fraction of lookups that hit (0 when idle).
+func (s Stats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // NewCache returns a cache bounded to roughly maxEntries slices.
@@ -89,27 +99,12 @@ func NewCache(maxEntries int) *Cache {
 	return &Cache{entries: make(map[cacheKey]PartialSum), max: maxEntries}
 }
 
-// Stats reports cache hits and misses (in lookups and bytes).
-func (c *Cache) Stats() (hits, misses, hitBytes, missBytes int64) {
-	return c.hits, c.misses, c.hitBytes, c.missBytes
-}
+// Stats returns the lookup counters.
+func (c *Cache) Stats() Stats { return c.stats }
 
-// HitRate reports the fraction of lookups that hit (0 when idle).
-func (c *Cache) HitRate() float64 {
-	if c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
-// ResetStats zeroes the hit/miss counters (cached sums stay valid), so a
+// ResetMeters zeroes the counters (cached sums stay valid), so a
 // measurement window can exclude warmup.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (c *Cache) ResetMeters() { c.ResetStats() }
-
-func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.hitBytes, c.missBytes = 0, 0, 0, 0
-}
+func (c *Cache) ResetMeters() { c.stats = Stats{} }
 
 // slice returns the partial sum for s, consulting the cache. A hit charges
 // only the key probe (CksumLookup); the CPU time for computing missed sums
@@ -117,15 +112,15 @@ func (c *Cache) ResetStats() {
 func (c *Cache) slice(p *sim.Proc, costs *sim.CostModel, s core.Slice) PartialSum {
 	k := cacheKey{buf: s.Buf.ID(), gen: s.Buf.Gen(), off: s.Off, len: s.Len}
 	if sum, ok := c.entries[k]; ok {
-		c.hits++
-		c.hitBytes += int64(s.Len)
+		c.stats.Hits++
+		c.stats.HitBytes += int64(s.Len)
 		if p != nil {
 			p.Sleep(costs.CksumLookup)
 		}
 		return sum
 	}
-	c.misses++
-	c.missBytes += int64(s.Len)
+	c.stats.Misses++
+	c.stats.MissBytes += int64(s.Len)
 	sum := Sum(s.Bytes())
 	if len(c.entries) >= c.max {
 		// Coarse eviction: drop everything. Simple, and harmless at the

@@ -119,7 +119,7 @@ func TestAggregateChecksumCorrectAndCached(t *testing.T) {
 		if hotCost >= ev.c.PriceCksum(a.Len()) {
 			t.Errorf("hit cost %v not below byte cost %v", hotCost, ev.c.PriceCksum(a.Len()))
 		}
-		hits, misses, _, _ := cache.Stats()
+		hits, misses := cache.Stats().Hits, cache.Stats().Misses
 		if hits == 0 || misses == 0 {
 			t.Errorf("stats hits=%d misses=%d", hits, misses)
 		}

@@ -209,6 +209,37 @@ func TestPoolTrimFreesOwnedChunks(t *testing.T) {
 	})
 }
 
+// TestPoolTrimReleasesSmallestSizesFirst recycles chunk-owning buffers of
+// 16 distinct sizes, inserted in scrambled order, and trims less than the
+// total: exactly the smallest sizes must go back to the VM, whatever the
+// pool's map iteration order.
+func TestPoolTrimReleasesSmallestSizesFirst(t *testing.T) {
+	h := newHarness()
+	h.run(t, func(p *sim.Proc) {
+		order := []int{9, 3, 14, 1, 12, 6, 16, 2, 11, 5, 8, 15, 4, 10, 13, 7}
+		bufs := make([]*Buffer, 0, len(order))
+		for _, k := range order {
+			bufs = append(bufs, h.pool.Alloc(p, k*mem.ChunkSize))
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+		budget := (1 + 2 + 3) * mem.PagesPerChunk
+		if freed := h.pool.Trim(budget); freed != budget {
+			t.Fatalf("Trim freed %d pages, want %d", freed, budget)
+		}
+		for k := 1; k <= 16; k++ {
+			want := 1
+			if k <= 3 {
+				want = 0
+			}
+			if got := len(h.pool.freeBySize[k*mem.PagesPerChunk]); got != want {
+				t.Errorf("%d-chunk buffers left recycled: %d, want %d", k, got, want)
+			}
+		}
+	})
+}
+
 func TestAggregateOps(t *testing.T) {
 	h := newHarness()
 	h.run(t, func(p *sim.Proc) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iolite/internal/mem"
 	"iolite/internal/sim"
@@ -211,11 +213,14 @@ func (pl *Pool) recycle(b *Buffer) {
 // Buffers owning whole chunks free immediately; sub-chunk buffers are
 // dropped and their pages credited against their shared chunk, which
 // returns to the VM once every carved page has been dropped. The pageout
-// path uses Trim to shed pool memory under pressure. It returns the number
-// of pages actually released to the VM.
+// path uses Trim to shed pool memory under pressure. Sizes are walked
+// smallest first, so which buffers return to the VM does not depend on map
+// iteration order. It returns the number of pages actually released to the
+// VM.
 func (pl *Pool) Trim(maxPages int) int {
 	released := 0
-	for size, free := range pl.freeBySize {
+	for _, size := range slices.Sorted(maps.Keys(pl.freeBySize)) {
+		free := pl.freeBySize[size]
 		kept := free[:0]
 		for _, b := range free {
 			switch {

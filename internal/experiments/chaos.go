@@ -119,7 +119,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	// The checksum cache is load-bearing under faults: a retransmitted ref
 	// segment re-checksums with one lookup per piece instead of re-paying
 	// the full pass, so recovery overhead is wire bytes, not CPU.
-	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
+	m := w.machine(kernel.Config{ChecksumCache: true, Offload: cp.Offload})
 	srv := m.NewProcess("chaos-srv", 2<<20)
 	tr := fcgi.NewLoopbackTransport(m, srv, true, 0)
 
@@ -152,6 +152,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		w: w, pool: pool, kind: "chaos", params: docParams(cp.DocBytes), idempotent: true,
 		think: cp.Think, retry: 100 * time.Microsecond, lat: obs.NewHistogram(),
 	}
+	w.track(reqs)
 	for i := 0; i < cp.Requesters; i++ {
 		reqs.spawn(fmt.Sprintf("req%d", i), "", 0, 0)
 	}
@@ -159,7 +160,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	// segments — the recovery story as counter tracks.
 	w.sample("pool-inflight", func() float64 { return float64(pool.InFlight()) })
 	w.sample("active-spans", func() float64 { return float64(cp.Obs.ActiveSpans()) })
-	w.sample("retrans-segs", func() float64 { segs, _ := m.Host.RetransStats(); return float64(segs) })
+	w.sample("retrans-segs", func() float64 { return float64(m.Host.Stats().RetransSegs) })
 	if cp.KillEvery > 0 {
 		w.eng.Go("killer", func(p *sim.Proc) {
 			k := 0
@@ -176,17 +177,16 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	}
 
 	res := ChaosResult{Label: chaosLabel(cp)}
-	w.reset.Add(m.Host)
-	w.run(reqs.snapshot, func() {
-		res.Requests = reqs.measured()
+	w.run(func() {
+		res.Requests = reqs.done
 		res.GoodputKReq = w.kPerSec(res.Requests)
 		if res.Requests > 0 {
-			res.CopiedKBPerReq = float64(w.costs.MeterCopiedBytes()) / float64(res.Requests) / (1 << 10)
+			res.CopiedKBPerReq = float64(w.costs.Stats().CopiedBytes) / float64(res.Requests) / (1 << 10)
 		}
-		segs, rbytes := m.Host.RetransStats()
-		res.RetransSegs = segs
-		if _, _, bytesOut, _ := m.Host.Stats(); bytesOut > 0 {
-			res.RetransPct = float64(rbytes) / float64(bytesOut)
+		st := m.Host.Stats()
+		res.RetransSegs = st.RetransSegs
+		if st.BytesOut > 0 {
+			res.RetransPct = float64(st.RetransBytes) / float64(st.BytesOut)
 		}
 	})
 
@@ -293,11 +293,8 @@ func RunStaleChaos() StaleChaosResult {
 	})
 	eng.Run()
 
-	var res StaleChaosResult
-	res.Requests, _, _, _, res.Aborted = px.Stats()
-	res.StaleServed = px.StaleServed()
-	res.Shed = px.Shed()
-	return res
+	st := px.Stats()
+	return StaleChaosResult{Requests: st.Requests, StaleServed: st.StaleServed, Shed: st.Shed, Aborted: st.Aborted}
 }
 
 // chaosFigConfigs is the column set: kills off / kills without replay /

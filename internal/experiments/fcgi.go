@@ -136,7 +136,7 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 
 	w := newWorld(fp.Obs, fp.Warmup, fp.Measure)
 	defer w.eng.Close()
-	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{Offload: fp.Offload})
+	m := w.machine(kernel.Config{Offload: fp.Offload})
 	srv := m.NewProcess("fcgi-srv", 2<<20)
 
 	var tr fcgi.Transport
@@ -172,6 +172,7 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 		w: w, pool: pool, kind: string(fp.Placement), params: docParams(fp.DocBytes),
 		lat: obs.NewHistogram(),
 	}
+	w.track(reqs)
 	for i := 0; i < fp.Requesters; i++ {
 		reqs.spawn(fmt.Sprintf("req%d", i), "", 0, 0)
 	}
@@ -194,27 +195,26 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 	machines := []*kernel.Machine{m}
 	if wm != m {
 		machines = append(machines, wm)
+		w.track(wm)
 	}
-	for _, hm := range machines {
-		w.reset.Add(hm.CPU(), hm.Host)
-	}
-	w.run(reqs.snapshot, func() {
-		res.Requests = reqs.measured()
+	w.run(func() {
+		res.Requests = reqs.done
 		res.KReqPerSec = w.kPerSec(res.Requests)
-		res.CopiedMB = float64(w.costs.MeterCopiedBytes()) / (1 << 20)
+		costs := w.costs.Stats()
+		res.CopiedMB = float64(costs.CopiedBytes) / (1 << 20)
 		res.CPUUtil = m.CPU().Utilization()
 		res.WorkerCPUUtil = wm.CPU().Utilization()
 		var pkts, bytes, segs, acks int64
 		for _, hm := range machines {
-			p, _, b, _ := hm.Host.Stats()
-			pkts, bytes = pkts+p, bytes+b
-			segs, acks = segs+hm.Host.SegsOut(), acks+hm.Host.AcksOut()
+			st := hm.Host.Stats()
+			pkts, bytes = pkts+st.PktsOut, bytes+st.BytesOut
+			segs, acks = segs+st.SegsOut, acks+st.AcksOut
 		}
 		if res.Requests > 0 {
 			res.PktsPerReq = float64(pkts) / float64(res.Requests)
 			res.SegsPerReq = float64(segs) / float64(res.Requests)
 			res.AcksPerReq = float64(acks) / float64(res.Requests)
-			res.SyscallsPerReq = float64(w.costs.MeterSyscallCount()) / float64(res.Requests)
+			res.SyscallsPerReq = float64(costs.Syscalls) / float64(res.Requests)
 		}
 		if pkts > 0 {
 			// Fill measures against the charged unit's capacity: the

@@ -7,6 +7,7 @@ import (
 
 	"iolite/internal/fcgi"
 	"iolite/internal/httpd"
+	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
@@ -27,8 +28,11 @@ type world struct {
 	warm    sim.Time // measurement starts
 	end     sim.Time // measurement ends
 	measure time.Duration
-	// reset holds every meter zeroed at the warmup boundary.
-	reset obs.ResetSet
+	// meters are zeroed whole at the warmup boundary: the cost model, the
+	// collector, and every machine, client host and app-tier component
+	// the runner builds. Nothing is snapshotted at warmup; every meter a
+	// result reads covers the measure window by construction.
+	meters []obs.Resetter
 }
 
 func newWorld(col *obs.Collector, warmup, measure time.Duration) *world {
@@ -43,17 +47,28 @@ func newWorld(col *obs.Collector, warmup, measure time.Duration) *world {
 	if col != nil {
 		col.Attach(w.eng, w.costs)
 	}
-	w.reset.Add(w.costs, col)
+	w.track(w.costs, col)
 	return w
 }
 
-// run executes the world: at the warmup boundary onWarm snapshots the
-// runner's cumulative counters and every meter in w.reset is zeroed; at
-// the end of the window onEnd reads the measurement.
-func (w *world) run(onWarm, onEnd func()) {
+// track registers components whose meters the warmup boundary zeroes.
+func (w *world) track(rs ...obs.Resetter) { w.meters = append(w.meters, rs...) }
+
+// machine builds a machine on the world's engine and cost model and
+// tracks its meters.
+func (w *world) machine(cfg kernel.Config) *kernel.Machine {
+	m := kernel.NewMachine(w.eng, w.costs, cfg)
+	w.track(m)
+	return m
+}
+
+// run executes the world: at the warmup boundary every tracked meter is
+// zeroed; at the end of the window onEnd reads the measurement.
+func (w *world) run(onEnd func()) {
 	w.eng.At(w.warm, func() {
-		onWarm()
-		w.reset.Reset()
+		for _, r := range w.meters {
+			r.ResetMeters()
+		}
 	})
 	w.eng.At(w.end, onEnd)
 	w.eng.Run()
@@ -119,6 +134,7 @@ func (w *world) spawnClients(ct clientTier, next func(rng *rand.Rand) string) *c
 	links := make([]*netsim.Link, ct.Machines)
 	for i := range links {
 		cs.hosts[i] = netsim.NewHost(w.eng, w.costs, fmt.Sprintf("client%d", i), false, nil, nil)
+		w.track(cs.hosts[i])
 		if ct.Offload {
 			cs.hosts[i].SetOffload(true)
 		}
@@ -161,7 +177,8 @@ func (cs *clients) errors() int64 {
 // requesters is one closed-loop population driving an fcgi pool. Each
 // loop issues a request, finishes its span, records the latency of
 // requests started after warmup, thinks, and repeats until the window
-// ends.
+// ends. Its done and attempts counts are warmup-reset meters; failed
+// covers the whole run.
 type requesters struct {
 	w          *world
 	pool       *fcgi.WorkerPool
@@ -180,8 +197,6 @@ type requesters struct {
 	lat *obs.Histogram
 
 	done, failed, attempts int64
-	// warmDone / warmAttempts are the counts at the warmup boundary.
-	warmDone, warmAttempts int64
 }
 
 // spawn starts one loop as proc name, sending requests for tenant ("" is
@@ -232,11 +247,8 @@ func (r *requesters) spawn(name, tenant string, offset, shedPause time.Duration)
 	})
 }
 
-// snapshot records the warmup-boundary counts.
-func (r *requesters) snapshot() { r.warmDone, r.warmAttempts = r.done, r.attempts }
-
-// measured is the completions inside the measure window.
-func (r *requesters) measured() int64 { return r.done - r.warmDone }
+// ResetMeters zeroes the windowed counts (failed stays whole-run).
+func (r *requesters) ResetMeters() { r.done, r.attempts = 0, 0 }
 
 // docApp is the worker app of every fcgi runner: request parse/dispatch
 // work, the off-CPU backend wait, then a cached fcgiDoc document — a

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"iolite/internal/apps"
+	"iolite/internal/fsim"
 	"iolite/internal/httpd"
+	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
@@ -190,4 +192,46 @@ func TestTracingOffIsFree(t *testing.T) {
 		t.Errorf("tracing moved throughput %.1f%% (%.2f vs %.2f kreq/s), want ≤2%%",
 			rel*100, on.KReqPerSec, off1.KReqPerSec)
 	}
+}
+
+// TestWorldWarmupResetsTrackedMeters: work done before the warmup
+// boundary leaves no trace in any tracked meter — a machine's CPU, disk
+// and mmap cache, the cost model, and a requester population's windowed
+// counts — while the whole-run failure count survives.
+func TestWorldWarmupResetsTrackedMeters(t *testing.T) {
+	w := newWorld(nil, 100*time.Millisecond, time.Millisecond)
+	defer w.eng.Close()
+	m := w.machine(kernel.Config{})
+	reqs := &requesters{done: 5, attempts: 7, failed: 2}
+	w.track(reqs)
+	f := m.FS.Create("/f", 64<<10)
+	pr := m.NewProcess("p", 1<<20)
+	w.eng.Go("warmup-work", func(p *sim.Proc) {
+		m.Mmap(p, pr, f)
+		w.costs.Copy(100)
+	})
+	before := false
+	w.eng.At(w.warm-1, func() {
+		before = m.Mmaps.Stats().Misses == 1 && m.Disk.Stats().Reads > 0 && w.costs.Stats().CopiedBytes == 100
+	})
+	w.run(func() {
+		if !before {
+			t.Fatal("warmup work did not move the meters before the boundary")
+		}
+		if got := m.Mmaps.Stats(); got != (kernel.MmapStats{}) {
+			t.Errorf("mmap stats = %+v, want zero", got)
+		}
+		if got := m.Disk.Stats(); got != (fsim.DiskStats{}) {
+			t.Errorf("disk stats = %+v, want zero", got)
+		}
+		if got := w.costs.Stats(); got != (sim.CostStats{}) {
+			t.Errorf("cost stats = %+v, want zero", got)
+		}
+		if got := m.CPU().BusyTime(); got != 0 {
+			t.Errorf("CPU busy %v after the boundary, want 0", got)
+		}
+		if reqs.done != 0 || reqs.attempts != 0 || reqs.failed != 2 {
+			t.Errorf("requesters done/attempts/failed = %d/%d/%d, want 0/0/2", reqs.done, reqs.attempts, reqs.failed)
+		}
+	})
 }

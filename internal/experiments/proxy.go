@@ -106,7 +106,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	defer w.eng.Close()
 
 	// Origin tier.
-	origin := kernel.NewMachine(w.eng, w.costs, originMachineConfig(pp.Origin, 0, pp.Offload))
+	origin := w.machine(originMachineConfig(pp.Origin, 0, pp.Offload))
 	originLst := netsim.NewListener(origin.Host)
 	srvObs := pp.Obs
 	if !pp.Direct {
@@ -118,6 +118,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 		Listener: originLst,
 		Obs:      srvObs,
 	})
+	w.track(srv)
 	paths := make([]string, pp.Docs)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/doc%d", i)
@@ -132,7 +133,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	serveMachine := origin
 	refFront := pp.Origin.Kind.Lite()
 	if !pp.Direct {
-		proxy := kernel.NewMachine(w.eng, w.costs, kernel.Config{
+		proxy := w.machine(kernel.Config{
 			ChecksumCache: pp.Mode.RefMode(),
 			Offload:       pp.Offload,
 		})
@@ -148,6 +149,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 			Tss:        pp.Tss,
 			Obs:        pp.Obs,
 		})
+		w.track(px)
 		frontLst = proxyLst
 		serveMachine = proxy
 		refFront = pp.Mode.RefMode()
@@ -162,19 +164,9 @@ func RunProxy(pp ProxyParams) ProxyResult {
 
 	w.sample("active-spans", func() float64 { return float64(pp.Obs.ActiveSpans()) })
 	if px != nil {
-		w.sample("proxy-hit-rate", px.HitRate)
+		w.sample("proxy-hit-rate", func() float64 { return px.Stats().HitRate() })
 	}
 
-	// Measurement window bookkeeping: the serving tier's request, byte and
-	// abort counters.
-	served := func() (reqs, bytes, aborted int64) {
-		if px != nil {
-			reqs, _, _, bytes, aborted = px.Stats()
-			return reqs, bytes, aborted
-		}
-		ss := srv.Stats()
-		return ss.Requests, ss.TotalBytes, ss.Aborted
-	}
 	var res ProxyResult
 	if pp.Direct {
 		res.Label = pp.Origin.Label() + " direct"
@@ -184,40 +176,33 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	if pp.Offload {
 		res.Label += " offl"
 	}
-	w.reset.Add(serveMachine.CPU())
-	if ck := serveMachine.CkCache; ck != nil {
-		w.reset.Add(ck)
-	}
-	w.reset.Add(serveMachine.Host)
-	for _, h := range cs.hosts {
-		w.reset.Add(h)
-	}
-	var warmBytes, warmReqs, warmAborted int64
 	w.run(func() {
-		warmReqs, warmBytes, warmAborted = served()
-	}, func() {
-		reqs, total, aborted := served()
+		// The serving tier's request, byte and abort counters.
+		var bytes int64
 		if px != nil {
-			res.HitRate = px.HitRate()
+			ps := px.Stats()
+			res.Requests, res.Aborted, res.HitRate, bytes = ps.Requests, ps.Aborted, ps.HitRate(), ps.BytesOut
+		} else {
+			ss := srv.Stats()
+			res.Requests, res.Aborted, bytes = ss.Requests, ss.Aborted, ss.TotalBytes
 		}
-		res.Requests = reqs - warmReqs
-		res.Aborted = aborted - warmAborted
-		res.Mbps = float64(total-warmBytes) * 8 / pp.Measure.Seconds() / 1e6
-		res.CopiedMB = float64(w.costs.MeterCopiedBytes()) / (1 << 20)
+		res.Mbps = float64(bytes) * 8 / pp.Measure.Seconds() / 1e6
+		costs := w.costs.Stats()
+		res.CopiedMB = float64(costs.CopiedBytes) / (1 << 20)
 		if ck := serveMachine.CkCache; ck != nil {
-			res.CksumHitRate = ck.HitRate()
+			res.CksumHitRate = ck.Stats().HitRate()
 		}
 		res.ServerCPUUtil = serveMachine.CPU().Utilization()
-		pkts, _, _, _ := serveMachine.Host.Stats()
-		acks := serveMachine.Host.AcksOut()
+		st := serveMachine.Host.Stats()
+		acks := st.AcksOut
 		for _, h := range cs.hosts {
-			acks += h.AcksOut()
+			acks += h.Stats().AcksOut
 		}
 		if res.Requests > 0 {
-			res.PktsPerReq = float64(pkts) / float64(res.Requests)
-			res.SegsPerReq = float64(serveMachine.Host.SegsOut()) / float64(res.Requests)
+			res.PktsPerReq = float64(st.PktsOut) / float64(res.Requests)
+			res.SegsPerReq = float64(st.SegsOut) / float64(res.Requests)
 			res.AcksPerReq = float64(acks) / float64(res.Requests)
-			res.SyscallsPerReq = float64(w.costs.MeterSyscallCount()) / float64(res.Requests)
+			res.SyscallsPerReq = float64(costs.Syscalls) / float64(res.Requests)
 		}
 		res.SegFill = serveMachine.Host.MeanSegFill()
 	})

@@ -102,7 +102,7 @@ func RunQoS(fp QoSParams) QoSResult {
 
 	w := newWorld(fp.Obs, fp.Warmup, fp.Measure)
 	defer w.eng.Close()
-	m := kernel.NewMachine(w.eng, w.costs, kernel.Config{})
+	m := w.machine(kernel.Config{})
 	srv := m.NewProcess("qos-srv", 2<<20)
 	m.Host.SetOffload(true)
 
@@ -175,29 +175,23 @@ func RunQoS(fp QoSParams) QoSResult {
 		enf = "on"
 	}
 	res := QoSResult{Label: fmt.Sprintf("%s qos=%s", label, enf)}
-	var warmSheds, warmThrottles int64
-	w.reset.Add(m.CPU(), m.Host, tenants)
+	// Every admission refusal lands on a tenant's meters, so their
+	// windowed totals are the pool's sheds and throttles in the window.
+	w.track(victims, aggr, tenants)
 	w.run(func() {
-		victims.snapshot()
-		aggr.snapshot()
-		warmSheds, warmThrottles = pool.Sheds()
-	}, func() {
-		vic := victims.measured()
-		agg := aggr.measured()
+		vic, agg := victims.done, aggr.done
 		res.Requests = vic + agg
 		res.KReqPerSec = w.kPerSec(vic + agg)
 		res.VictimKReqPerSec = w.kPerSec(vic)
 		res.AggKReqPerSec = w.kPerSec(agg)
-		sheds, throttles := pool.Sheds()
-		res.Sheds = sheds - warmSheds
-		res.Throttles = throttles - warmThrottles
+		_, res.Sheds, res.Throttles = tenants.Totals()
 		if res.Requests > 0 {
 			res.ShedsPerReq = float64(res.Sheds+res.Throttles) / float64(res.Requests)
 		}
 		if vic > 0 && fp.Aggressor {
 			secs := fp.Measure.Seconds()
 			fair := float64(vic) / float64(fp.Tenants) / secs // one tenant's fair req/s
-			offered := float64(aggr.attempts-aggr.warmAttempts) / secs
+			offered := float64(aggr.attempts) / secs
 			res.AggOfferedX = offered / fair
 		}
 		res.CPUUtil = m.CPU().Utilization()

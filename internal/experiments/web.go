@@ -135,7 +135,7 @@ func RunWeb(wp WebParams) WebResult {
 	w := newWorld(wp.Obs, wp.Warmup, wp.Measure)
 	defer w.eng.Close()
 	isLite := wp.Server.Kind.Lite()
-	m := kernel.NewMachine(w.eng, w.costs, originMachineConfig(wp.Server, wp.MemBytes, false))
+	m := w.machine(originMachineConfig(wp.Server, wp.MemBytes, false))
 	lst := netsim.NewListener(m.Host)
 	srv := httpd.NewServer(httpd.Config{
 		Kind:     wp.Server.Kind,
@@ -148,6 +148,7 @@ func RunWeb(wp WebParams) WebResult {
 		CGIDepth: 1,
 		Obs:      wp.Obs,
 	})
+	w.track(srv)
 
 	// Workload.
 	var nextPath func(rng *rand.Rand) string
@@ -188,27 +189,17 @@ func RunWeb(wp WebParams) WebResult {
 		Tss: wp.Tss, RefServer: isLite, Persistent: wp.Persistent, Seed: wp.Seed,
 	}, nextPath)
 
-	// Snapshot server counters at the warmup boundary and at the end.
-	var warmBytes, warmReqs int64
-	w.reset.Add(m.CPU(), m.Disk, m.FileCache)
 	res := WebResult{Label: wp.Server.Label()}
 	w.run(func() {
-		ws := srv.Stats()
-		warmReqs, warmBytes = ws.Requests, ws.TotalBytes
-	}, func() {
 		ss := srv.Stats()
-		res.Requests = ss.Requests - warmReqs
-		res.Mbps = float64(ss.TotalBytes-warmBytes) * 8 / wp.Measure.Seconds() / 1e6
+		res.Requests = ss.Requests
+		res.Mbps = float64(ss.TotalBytes) * 8 / wp.Measure.Seconds() / 1e6
 		res.CPUUtil = m.CPU().Utilization()
 		res.DiskUtil = m.Disk.Utilization()
-		var hits, misses int64
 		if isLite {
-			hits, misses, _, _ = m.FileCache.Stats()
+			res.HitRate = m.FileCache.Stats().HitRate()
 		} else {
-			hits, misses = m.Mmaps.Stats()
-		}
-		if hits+misses > 0 {
-			res.HitRate = float64(hits) / float64(hits+misses)
+			res.HitRate = m.Mmaps.Stats().HitRate()
 		}
 	})
 	res.Errors = cs.errors()

@@ -203,45 +203,3 @@ func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 		t.Errorf("stale stdin buffer holds %d refs, want 1 (leaked by duplicate BEGIN)", refs)
 	}
 }
-
-// TestConnThroughTee routes a conn's outbound records through a tee
-// descriptor into a /dev/null sink: the stream frames identically while
-// the sink observes every byte — the cheap worker-stdout observation the
-// device descriptors exist for.
-func TestConnThroughTee(t *testing.T) {
-	b := newBed()
-	other := b.m.NewProcess("peer", 1<<20)
-	rfd, wfd := b.m.Pipe2(b.srv, other, ipcsim.ModeRef)
-	wdesc, err := other.Desc(wfd)
-	if err != nil {
-		t.Fatalf("Desc: %v", err)
-	}
-	null := kernel.NewNullDesc(b.m)
-	tfd := other.Install(kernel.NewTeeDesc(b.m, wdesc, null))
-	oc := NewConnModes(b.m, other, -1, tfd, 0, WireCopy, WireRef)
-	sc := NewConnModes(b.m, b.srv, rfd, -1, 0, WireRef, WireCopy)
-
-	payload := doc(5000)
-	b.eng.Go("peer", func(p *sim.Proc) {
-		rec := Record{Header: Header{Type: RecStdout, ReqID: 3}, Agg: core.PackBytes(p, other.Pool, payload)}
-		if err := oc.WriteRecord(p, rec); err != nil {
-			t.Errorf("WriteRecord via tee: %v", err)
-		}
-	})
-	b.eng.Go("srv", func(p *sim.Proc) {
-		rec, err := sc.ReadRecord(p)
-		if err != nil {
-			t.Errorf("ReadRecord: %v", err)
-			return
-		}
-		if !bytes.Equal(rec.payloadBytes(), payload) {
-			t.Error("teed stream corrupted")
-		}
-		rec.Release()
-	})
-	b.eng.Run()
-
-	if want := int64(HeaderLen + len(payload)); null.Discarded() != want {
-		t.Errorf("sink observed %d bytes, want %d (header+payload)", null.Discarded(), want)
-	}
-}

@@ -99,9 +99,9 @@ func TestAcceptanceRingQuartersSyscallCharges(t *testing.T) {
 			},
 		})
 		runRound(t, b, pool, M, params, docBytes)
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		runRound(t, b, pool, M, params, docBytes)
-		return b.m.Costs.MeterSyscallCount()
+		return b.m.Costs.Stats().Syscalls
 	}
 
 	base, ringed := run(false), run(true)

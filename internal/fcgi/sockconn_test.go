@@ -171,7 +171,7 @@ func TestBoundaryWriteChargesSingleCopy(t *testing.T) {
 	costs := sb.b.m.Costs
 	sb.b.eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, sb.wpr.Pool, doc(n)) // producer copy, excluded below
-		costs.ResetMeter()
+		costs.ResetMeters()
 		if err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecStdout, ReqID: 1}, Agg: agg}); err != nil {
 			t.Errorf("WriteRecord: %v", err)
 		}
@@ -185,7 +185,7 @@ func TestBoundaryWriteChargesSingleCopy(t *testing.T) {
 		rec.Release()
 	})
 	sb.b.eng.Run()
-	if copied, want := costs.MeterCopiedBytes(), int64(HeaderLen+n); copied != want {
+	if copied, want := costs.Stats().CopiedBytes, int64(HeaderLen+n); copied != want {
 		t.Errorf("boundary record charged %d copied bytes, want exactly %d (header + payload, once)", copied, want)
 	}
 }
@@ -424,9 +424,9 @@ func TestAcceptanceRemoteRefBoundaryCopiesPayloadOnce(t *testing.T) {
 		// Warm round: every worker's document aggregate is packed (the
 		// charged producer copy) outside measurement.
 		runRound(t, b, pool, M, params, docBytes)
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		runRound(t, b, pool, M, params, docBytes)
-		return b.m.Costs.MeterCopiedBytes()
+		return b.m.Costs.Stats().CopiedBytes
 	}
 
 	// Request-direction framing crosses the copy-mode request path twice

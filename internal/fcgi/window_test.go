@@ -85,7 +85,7 @@ func TestWindowStarvedStreamStaysFullSegments(t *testing.T) {
 	})
 	runRound(t, b, pool, M, []byte("/doc"), docBytes)
 
-	pktsOut, _, bytesOut, _ := b.m.Host.Stats()
+	pktsOut, bytesOut := b.m.Host.Stats().PktsOut, b.m.Host.Stats().BytesOut
 	// Both directions ride the loopback on this one host; responses
 	// dominate. Allow the requests and per-request flush tails as slack
 	// over the ideal ⌈bytes/MSS⌉ packing.

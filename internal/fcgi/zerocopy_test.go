@@ -76,9 +76,9 @@ func TestAcceptanceRefModeZeroPayloadCopies(t *testing.T) {
 	// every experiment here).
 	runRound(t, b, pool, M, params, docBytes)
 
-	b.m.Costs.ResetMeter()
+	b.m.Costs.ResetMeters()
 	runRound(t, b, pool, M, params, docBytes)
-	copied := b.m.Costs.MeterCopiedBytes()
+	copied := b.m.Costs.Stats().CopiedBytes
 
 	// Every copied byte is request-direction framing on the copy-mode
 	// request pipe: per request, a BEGIN header and a PARAMS header+
@@ -107,9 +107,9 @@ func TestAcceptanceCopyModeChargesPayload(t *testing.T) {
 	pool := docServer(b, workers, depth, false, docBytes)
 	runRound(t, b, pool, M, []byte("/doc"), docBytes)
 
-	b.m.Costs.ResetMeter()
+	b.m.Costs.ResetMeters()
 	runRound(t, b, pool, M, []byte("/doc"), docBytes)
-	copied := b.m.Costs.MeterCopiedBytes()
+	copied := b.m.Costs.Stats().CopiedBytes
 
 	// The conventional wire format moves every payload byte through the
 	// kernel FIFO: at least one copy in and one out per byte.

@@ -14,11 +14,13 @@ type Disk struct {
 	eng   *sim.Engine
 	costs *sim.CostModel
 	arm   *sim.Resource
+	stats DiskStats
+}
 
-	reads      int64
-	writes     int64
-	bytesRead  int64
-	bytesWrite int64
+// DiskStats are a disk's request and byte counters.
+type DiskStats struct {
+	Reads, Writes           int64
+	BytesRead, BytesWritten int64
 }
 
 // NewDisk creates a disk using the cost model's seek and transfer rates.
@@ -29,32 +31,27 @@ func NewDisk(eng *sim.Engine, costs *sim.CostModel) *Disk {
 // Read blocks p for one positioning delay plus the media transfer of n
 // bytes, behind any queued requests.
 func (d *Disk) Read(p *sim.Proc, n int) {
-	d.reads++
-	d.bytesRead += int64(n)
+	d.stats.Reads++
+	d.stats.BytesRead += int64(n)
 	d.arm.Use(p, d.costs.DiskSeek+d.costs.DiskTransfer(n))
 }
 
 // WriteAsync queues a write of n bytes without blocking the caller
 // (write-behind). The arm time is still consumed, delaying later reads.
 func (d *Disk) WriteAsync(n int) {
-	d.writes++
-	d.bytesWrite += int64(n)
+	d.stats.Writes++
+	d.stats.BytesWritten += int64(n)
 	d.arm.Charge(d.costs.DiskSeek + d.costs.DiskTransfer(n))
 }
 
-// Stats reports request and byte counters.
-func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
-	return d.reads, d.writes, d.bytesRead, d.bytesWrite
-}
+// Stats returns the request and byte counters.
+func (d *Disk) Stats() DiskStats { return d.stats }
 
 // Utilization reports the disk arm's busy fraction.
 func (d *Disk) Utilization() float64 { return d.arm.Utilization() }
 
-// ResetStats clears counters and utilization accounting.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (d *Disk) ResetMeters() { d.ResetStats() }
-
-func (d *Disk) ResetStats() {
-	d.reads, d.writes, d.bytesRead, d.bytesWrite = 0, 0, 0, 0
-	d.arm.ResetStats()
+// ResetMeters clears the counters and the utilization accounting.
+func (d *Disk) ResetMeters() {
+	d.stats = DiskStats{}
+	d.arm.ResetMeters()
 }

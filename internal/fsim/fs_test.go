@@ -29,7 +29,7 @@ func TestDiskTiming(t *testing.T) {
 		}
 	})
 	e.Run()
-	reads, _, br, _ := d.Stats()
+	reads, br := d.Stats().Reads, d.Stats().BytesRead
 	if reads != 1 || br != 65536 {
 		t.Fatalf("stats: reads=%d bytes=%d", reads, br)
 	}
@@ -117,7 +117,7 @@ func TestWriteOverlayAndGrowth(t *testing.T) {
 		}
 	})
 	e.Run()
-	_, writes, _, bw := fs.Disk().Stats()
+	writes, bw := fs.Disk().Stats().Writes, fs.Disk().Stats().BytesWritten
 	if writes != 2 || bw == 0 {
 		t.Fatalf("disk writes=%d bytes=%d", writes, bw)
 	}
@@ -178,8 +178,8 @@ func TestDiskUtilizationAndReset(t *testing.T) {
 	if u := d.Utilization(); u < 0.7 || u > 0.9 {
 		t.Fatalf("utilization = %v, want ≈0.8", u)
 	}
-	d.ResetStats()
-	reads, _, _, _ := d.Stats()
+	d.ResetMeters()
+	reads := d.Stats().Reads
 	if reads != 0 || d.Utilization() != 0 {
 		t.Fatal("reset did not clear stats")
 	}

@@ -144,7 +144,7 @@ func (s *Server) serveCGI(p *sim.Proc, cfd int, path string, sp *obs.Span) bool 
 		if errors.Is(err, kernel.ErrTimedOut) {
 			// Shed, don't hang: the deadline passed before a worker
 			// answered. The abort accounting upstream still applies.
-			s.shed++
+			s.stats.Shed++
 		}
 		return false
 	}
@@ -166,8 +166,8 @@ func (s *Server) serveCGI(p *sim.Proc, cfd int, path string, sp *obs.Span) bool 
 			out.Release()
 			return false
 		}
-		s.bytesBody += n
-		s.bytesTotal += n + int64(len(hdr))
+		s.stats.BodyBytes += n
+		s.stats.TotalBytes += n + int64(len(hdr))
 		return true
 	}
 
@@ -184,7 +184,7 @@ func (s *Server) serveCGI(p *sim.Proc, cfd int, path string, sp *obs.Span) bool 
 		return false
 	}
 	s.cork(p, cfd, false)
-	s.bytesBody += int64(len(body))
-	s.bytesTotal += int64(len(body) + len(hdr))
+	s.stats.BodyBytes += int64(len(body))
+	s.stats.TotalBytes += int64(len(body) + len(hdr))
 	return true
 }

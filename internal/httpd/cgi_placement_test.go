@@ -43,9 +43,9 @@ func TestCGIRemotePlacementChargesBoundaryCopy(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			b.fetchOnce(t, CGIDocPath(docBytes))
 		}
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		b.fetchOnce(t, CGIDocPath(docBytes))
-		return b.m.Costs.MeterCopiedBytes()
+		return b.m.Costs.Stats().CopiedBytes
 	}
 	pipe := copied("pipe")
 	remote := copied("sock-remote")

@@ -61,8 +61,8 @@ func TestCGIDeadlineSheds(t *testing.T) {
 	if reqs != 1 || aborted != 1 {
 		t.Errorf("requests=%d aborted=%d, want 1/1", reqs, aborted)
 	}
-	if b.srv.Shed() != 1 {
-		t.Errorf("shed=%d, want 1", b.srv.Shed())
+	if b.srv.Stats().Shed != 1 {
+		t.Errorf("shed=%d, want 1", b.srv.Stats().Shed)
 	}
 	if body != 0 || total != 0 {
 		t.Errorf("shed response still counted bytes: body=%d total=%d", body, total)
@@ -113,7 +113,7 @@ func TestCGIReplaySurvivesWorkerKill(t *testing.T) {
 		t.Error("no replays recorded despite the mid-flight worker kill")
 	}
 	aborted := b.srv.Stats().Aborted
-	if aborted != 0 || b.srv.Shed() != 0 {
-		t.Errorf("aborted=%d shed=%d, want 0/0", aborted, b.srv.Shed())
+	if aborted != 0 || b.srv.Stats().Shed != 0 {
+		t.Errorf("aborted=%d shed=%d, want 0/0", aborted, b.srv.Stats().Shed)
 	}
 }

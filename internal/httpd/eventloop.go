@@ -185,7 +185,7 @@ func (s *Server) tryServe(p *sim.Proc, c *connState) {
 	}
 	c.pending = nil
 	s.m.Host.Use(p, s.requestWork())
-	s.requests++
+	s.stats.Requests++
 	c.busy = true
 	c.keepalive = keepalive
 	c.failed = false
@@ -338,14 +338,14 @@ func (s *Server) reapReady(p *sim.Proc) {
 // serveCGI already applied the counters — its credits are zero).
 func (s *Server) finishConn(p *sim.Proc, c *connState, served bool) {
 	if !served {
-		s.aborted++
+		s.stats.Aborted++
 		s.closeConn(p, c)
 		return
 	}
 	c.span.Finish(p.Now())
 	c.span = nil
-	s.bytesBody += c.creditBody
-	s.bytesTotal += c.creditTotal
+	s.stats.BodyBytes += c.creditBody
+	s.stats.TotalBytes += c.creditTotal
 	if !c.keepalive {
 		s.closeConn(p, c)
 		return

@@ -184,7 +184,7 @@ func measure(t *testing.T, kind Kind, cgi, persistent bool, path string, size in
 		n := 0
 		RunClient(p, b.clientCfg(persistent, nil), func() (string, bool) {
 			if n == 1 { // discard the cold-cache first request
-				b.m.CPU().ResetStats()
+				b.m.CPU().ResetMeters()
 			}
 			n++
 			return path, n <= reqs
@@ -265,10 +265,9 @@ func TestServerStatsAccumulate(t *testing.T) {
 	if reqs != 4 || body != 40000 || total <= body {
 		t.Fatalf("stats: reqs=%d body=%d total=%d", reqs, body, total)
 	}
-	b.srv.ResetStats()
-	reqs = b.srv.Stats().Requests
-	if reqs != 0 {
-		t.Fatal("ResetStats did not clear")
+	b.srv.ResetMeters()
+	if got := b.srv.Stats(); got != (ServerStats{}) {
+		t.Fatalf("stats after ResetMeters = %+v, want zero", got)
 	}
 }
 

@@ -25,15 +25,15 @@ func TestAcceptanceSplicePacketEconomy(t *testing.T) {
 
 			// Cold fetch: open-FD and file-cache warmup, outside the pins.
 			b.fetchOnce(t, "/doc.html")
-			b.m.Host.ResetNetStats()
-			b.m.Costs.ResetMeter()
+			b.m.Host.ResetMeters()
+			b.m.Costs.ResetMeters()
 
 			got := b.fetchOnce(t, "/doc.html")
 			if !bytes.Equal(got, want) {
 				t.Fatalf("served wrong bytes (%d vs %d)", len(got), len(want))
 			}
 
-			pktsOut, _, bytesOut, _ := b.m.Host.Stats()
+			pktsOut, bytesOut := b.m.Host.Stats().PktsOut, b.m.Host.Stats().BytesOut
 			wantPkts := int64((hdrLen + size + netsim.MSS - 1) / netsim.MSS)
 			if pktsOut != wantPkts {
 				t.Fatalf("%s response used %d data segments, want exactly %d = ⌈(header+body)/MSS⌉",
@@ -44,7 +44,7 @@ func TestAcceptanceSplicePacketEconomy(t *testing.T) {
 			}
 			// The header pack is the one charged copy of a warm IO-Lite
 			// response; the document crosses by reference.
-			if copied := b.m.Costs.MeterCopiedBytes(); copied != int64(hdrLen) {
+			if copied := b.m.Costs.Stats().CopiedBytes; copied != int64(hdrLen) {
 				t.Fatalf("warm %s request charged %d copied bytes, want %d (header pack only)",
 					kind, copied, hdrLen)
 			}

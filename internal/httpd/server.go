@@ -140,11 +140,7 @@ type Server struct {
 
 	cgi *cgiPool
 
-	requests   int64
-	bytesBody  int64
-	bytesTotal int64
-	aborted    int64
-	shed       int64
+	stats ServerStats
 }
 
 // NewServer creates and starts a server on cfg.Listener.
@@ -205,29 +201,12 @@ type ServerStats struct {
 	Shed       int64
 }
 
-// Stats snapshots the server's counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Requests:   s.requests,
-		BodyBytes:  s.bytesBody,
-		TotalBytes: s.bytesTotal,
-		Aborted:    s.aborted,
-		Shed:       s.shed,
-	}
-}
+// Stats returns the server's counters.
+func (s *Server) Stats() ServerStats { return s.stats }
 
-// Shed reports CGI requests abandoned because their deadline passed —
-// a subset of the aborted count (shed responses are never delivered).
-func (s *Server) Shed() int64 { return s.shed }
-
-// ResetStats zeroes the counters (used when an experiment discards warmup).
-func (s *Server) ResetStats() {
-	s.requests, s.bytesBody, s.bytesTotal, s.aborted, s.shed = 0, 0, 0, 0, 0
-}
-
-// ResetMeters aliases ResetStats so a server drops into an obs.ResetSet
-// alongside cost models, hosts, and collectors.
-func (s *Server) ResetMeters() { s.ResetStats() }
+// ResetMeters zeroes the counters (used when an experiment discards
+// warmup).
+func (s *Server) ResetMeters() { s.stats = ServerStats{} }
 
 func (s *Server) acceptLoop(p *sim.Proc) {
 	for {
@@ -326,14 +305,14 @@ func (s *Server) handleConn(p *sim.Proc, cfd int, acceptedAt sim.Time) {
 		} else {
 			served = s.serveStatic(p, cfd, path, sp)
 		}
-		s.requests++
+		s.stats.Requests++
 		p.SetAttrib(nil)
 		if !served {
 			// The response aborted on a write error: the connection is
 			// useless, drop it. The span is abandoned, not finished — an
 			// aborted response has no meaningful end-to-end latency.
 			sp.Abandon()
-			s.aborted++
+			s.stats.Aborted++
 			s.m.Close(p, s.proc, cfd)
 			return
 		}
@@ -476,7 +455,7 @@ func (s *Server) serveStatic(p *sim.Proc, cfd int, path string, sp *obs.Span) bo
 		}
 		s.cork(p, cfd, false)
 	}
-	s.bytesBody += f.Size()
-	s.bytesTotal += f.Size() + int64(len(hdr))
+	s.stats.BodyBytes += f.Size()
+	s.stats.TotalBytes += f.Size() + int64(len(hdr))
 	return true
 }

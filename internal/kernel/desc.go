@@ -60,9 +60,9 @@ const (
 	// KindObject is a sealed in-kernel buffer aggregate behind an fd
 	// (NewAggDesc) — a memfd-style object servers splice from.
 	KindObject
-	// KindDevice is a virtual device descriptor (NewNullDesc's /dev/null
-	// sink, NewTeeDesc's stream duplicator) — kernel-internal endpoints
-	// with no backing file, pipe, or socket.
+	// KindDevice is a virtual device descriptor (a submission ring or a
+	// readiness set) — kernel-internal endpoints with no backing file,
+	// pipe, or socket.
 	KindDevice
 )
 

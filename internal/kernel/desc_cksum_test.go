@@ -166,9 +166,9 @@ func TestCksumDescChargesLookupsOnWarmSlices(t *testing.T) {
 	}
 
 	run("1") // cold: every slice is summed
-	hits1, _, _, _ := m.CkCache.Stats()
+	hits1 := m.CkCache.Stats().Hits
 	run("2") // warm: the same sealed buffers verify by cache probe
-	hits2, _, hitBytes, _ := m.CkCache.Stats()
+	hits2, hitBytes := m.CkCache.Stats().Hits, m.CkCache.Stats().HitBytes
 
 	if hits2 <= hits1 {
 		t.Errorf("second verification produced no checksum-cache hits (%d → %d)", hits1, hits2)

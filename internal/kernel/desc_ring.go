@@ -38,9 +38,6 @@ const (
 	// OpSpliceAt moves N bytes from SrcFD at Off to FD in-kernel
 	// (sendfile shape), preserving the splice path's zero-copy pin.
 	OpSpliceAt
-	// OpAccept accepts one connection from listener FD; the completion's
-	// Res is the new socket fd.
-	OpAccept
 	// OpCork is setsockopt(TCP_CORK): segment-gathering control ordered
 	// with the write stream it brackets, so cork → writes → uncork
 	// survives in a single submission.
@@ -59,8 +56,6 @@ func (op RingOp) String() string {
 		return "WritePOSIX"
 	case OpSpliceAt:
 		return "SpliceAt"
-	case OpAccept:
-		return "Accept"
 	case OpCork:
 		return "Cork"
 	}
@@ -89,7 +84,7 @@ type SQE struct {
 // direct call would have returned them.
 type CQE struct {
 	Token uint64
-	Res   int64     // bytes moved, or the new fd for OpAccept
+	Res   int64     // bytes moved
 	Agg   *core.Agg // OpIOLRead result, caller-owned
 	Err   error
 }
@@ -134,7 +129,7 @@ func NewRingDesc(m *Machine, pr *Process) *RingDesc {
 // that bracket them) order among writes; accepts order among accepts.
 func opKey(sqe *SQE) int {
 	switch sqe.Op {
-	case OpIOLRead, OpReadPOSIX, OpAccept:
+	case OpIOLRead, OpReadPOSIX:
 		return sqe.FD * 2
 	default:
 		return sqe.FD*2 + 1
@@ -289,18 +284,6 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 	case OpSpliceAt:
 		n, err := r.m.spliceAt(p, r.pr, sqe.FD, sqe.SrcFD, sqe.Off, sqe.N)
 		cqe.Res, cqe.Err = n, err
-	case OpAccept:
-		ld, ok := d.(*listenDesc)
-		if !ok {
-			cqe.Err = ErrNotSupported
-			return cqe
-		}
-		conn := ld.lst.Accept(p)
-		if conn == nil {
-			cqe.Err = ErrClosed
-			return cqe
-		}
-		cqe.Res = int64(r.pr.Install(&sockDesc{m: r.m, ep: conn.ServerEnd()}))
 	case OpCork:
 		c, ok := d.(corker)
 		if !ok {
@@ -330,9 +313,6 @@ func (r *RingDesc) Reap(p *sim.Proc, min int) []CQE {
 
 // inflight reports submitted ops not yet completed.
 func (r *RingDesc) inflight() int { return int(r.submitted - r.completed) }
-
-// Outstanding reports in-flight ops plus uncollected completions.
-func (r *RingDesc) Outstanding() int { return r.inflight() + len(r.cq) }
 
 // Stats reports total ops submitted and the Submit/Reap syscalls that
 // carried them — the batching ratio the acceptance test pins.

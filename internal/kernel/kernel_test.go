@@ -74,7 +74,7 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 		a1.Release()
 		a2.Release()
 	})
-	reads, _, _, _ := m.Disk.Stats()
+	reads := m.Disk.Stats().Reads
 	if reads != 2 {
 		t.Fatalf("disk reads = %d, want 2 (Open's metadata read, then one data read)", reads)
 	}
@@ -221,7 +221,7 @@ func TestMemoryPressureEvictsFileCache(t *testing.T) {
 	if m.VM.Overcommitted() != 0 {
 		t.Fatalf("overcommit = %d pages", m.VM.Overcommitted())
 	}
-	_, evictions, _ := m.FileCache.EvictionStats()
+	evictions := m.FileCache.Stats().Evictions
 	if evictions == 0 {
 		t.Fatal("no evictions despite 40 MB of reads into ~11 MB of memory")
 	}

@@ -16,8 +16,18 @@ type MmapCache struct {
 	entries map[fsim.FileID]*MmapEntry
 	head    *MmapEntry // most recently used
 	tail    *MmapEntry
+	stats   MmapStats
+}
 
-	hits, misses int64
+// MmapStats are the mmap cache's lookup counters.
+type MmapStats struct{ Hits, Misses int64 }
+
+// HitRate reports the fraction of lookups that hit (0 when idle).
+func (s MmapStats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // MmapEntry is one resident file.
@@ -64,11 +74,11 @@ func (mc *MmapCache) unlink(e *MmapEntry) {
 // Pages reports the cache's resident footprint.
 func (mc *MmapCache) Pages() int { return mc.m.VM.UsedBy(mem.TagMmap) }
 
-// Stats reports hit/miss counts.
-func (mc *MmapCache) Stats() (hits, misses int64) { return mc.hits, mc.misses }
+// Stats returns the lookup counters.
+func (mc *MmapCache) Stats() MmapStats { return mc.stats }
 
-// ResetStats zeroes the hit/miss counters (mappings stay).
-func (mc *MmapCache) ResetStats() { mc.hits, mc.misses = 0, 0 }
+// ResetMeters zeroes the lookup counters (mappings stay).
+func (mc *MmapCache) ResetMeters() { mc.stats = MmapStats{} }
 
 // reclaim evicts least-recently-used files until need pages are freed.
 func (mc *MmapCache) reclaim(need int) int {
@@ -97,7 +107,7 @@ func (m *Machine) Mmap(p *sim.Proc, pr *Process, f *fsim.File) *Mapping {
 	mc := m.Mmaps
 	e, ok := mc.entries[f.ID]
 	if !ok {
-		mc.misses++
+		mc.stats.Misses++
 		pages := mem.PagesFor(int(f.Size()))
 		m.VM.Reserve(mem.TagMmap, pages)
 		data := make([]byte, f.Size())
@@ -106,7 +116,7 @@ func (m *Machine) Mmap(p *sim.Proc, pr *Process, f *fsim.File) *Mapping {
 		mc.entries[f.ID] = e
 		mc.pushFront(e)
 	} else {
-		mc.hits++
+		mc.stats.Hits++
 		mc.unlink(e)
 		mc.pushFront(e)
 	}

@@ -35,10 +35,10 @@ func TestPrewarmUnifiedStopsAtHeadroom(t *testing.T) {
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
 		fd := openT(t, p, m, pr, files[0].Name)
-		m.Disk.ResetStats() // Open's metadata read is not the data path
+		m.Disk.ResetMeters() // Open's metadata read is not the data path
 		readAt(t, p, m, pr, fd, 0, files[0].Size()).Release()
 	})
-	if reads, _, _, _ := m.Disk.Stats(); reads != 0 {
+	if reads := m.Disk.Stats().Reads; reads != 0 {
 		t.Fatalf("prewarmed read hit the disk %d times", reads)
 	}
 	if !m.FileCache.Contains(cache.Key{File: files[0].ID, Off: 0, Len: files[0].Size()}) {
@@ -54,14 +54,14 @@ func TestPrewarmMmapServesWithoutDisk(t *testing.T) {
 	if n != 1 || !m.Mmaps.Resident(f.ID) {
 		t.Fatalf("prewarm loaded %d, resident=%v", n, m.Mmaps.Resident(f.ID))
 	}
-	m.Disk.ResetStats()
+	m.Disk.ResetMeters()
 	run(t, e, func(p *sim.Proc) {
 		mp := m.Mmap(p, pr, f)
 		if int64(len(mp.Bytes(0, f.Size()))) != f.Size() {
 			t.Error("mapping truncated")
 		}
 	})
-	if reads, _, _, _ := m.Disk.Stats(); reads != 0 {
+	if reads := m.Disk.Stats().Reads; reads != 0 {
 		t.Fatalf("resident mmap hit the disk %d times", reads)
 	}
 }

@@ -43,13 +43,6 @@ type nonblocker interface {
 	setNonblock(on bool)
 }
 
-// Nonblockable reports whether a descriptor supports non-blocking mode (an
-// uncharged capability probe, like Corkable).
-func Nonblockable(d Desc) bool {
-	_, ok := d.(nonblocker)
-	return ok
-}
-
 // SetNonblock is fcntl(O_NONBLOCK) on a descriptor: while on, operations
 // that would park the process return ErrAgain instead, and readiness is
 // observed through a ReadyDesc. One syscall is charged. Descriptors without

@@ -270,12 +270,12 @@ func TestSpliceStaticPathZeroCopyCachedCksum(t *testing.T) {
 	e.Run()
 
 	serve := func(splice bool) (copied, ckHitB, ckMissB int64, body []byte) {
-		costs.ResetMeter()
-		server.CkCache.ResetStats()
+		costs.ResetMeters()
+		server.CkCache.ResetMeters()
 		e.Go("srv", serveOnce(t, server, srvPr, lfd, ffd, size, splice))
 		body = fetchOnce(t, client, cliPr, link, lst, splice)
-		copied = costs.MeterCopiedBytes()
-		_, _, ckHitB, ckMissB = server.CkCache.Stats()
+		copied = costs.Stats().CopiedBytes
+		ckHitB, ckMissB = server.CkCache.Stats().HitBytes, server.CkCache.Stats().MissBytes
 		return
 	}
 

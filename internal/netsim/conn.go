@@ -529,9 +529,9 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 	e.transmitData(p, rec)
 	e.armRTO()
 
-	e.host.pktsOut++
-	e.host.segsOut += int64(len(rec.chunks))
-	e.host.bytesOut += int64(rec.n)
+	e.host.stats.PktsOut++
+	e.host.stats.SegsOut += int64(len(rec.chunks))
+	e.host.stats.BytesOut += int64(rec.n)
 }
 
 // wireTime is the record's total serialization time: each MSS chunk goes
@@ -666,11 +666,11 @@ func (e *Endpoint) retransmit() {
 			link.wire[e.dir].UseAsync(e.wireTime(snap), func() {
 				e.scheduleDelivery(snap)
 			})
-			e.host.pktsOut++
-			e.host.segsOut += int64(len(snap.chunks))
-			e.host.bytesOut += int64(snap.n)
-			e.host.retransSegs++
-			e.host.retransBytes += int64(snap.n)
+			e.host.stats.PktsOut++
+			e.host.stats.SegsOut += int64(len(snap.chunks))
+			e.host.stats.BytesOut += int64(snap.n)
+			e.host.stats.RetransSegs++
+			e.host.stats.RetransBytes += int64(snap.n)
 		})
 	}
 }
@@ -719,13 +719,13 @@ func (e *Endpoint) deliver(chunks []deliveredChunk) {
 		cpu += sim.Duration(len(chunks)-1) * costs.SegChunk
 	}
 	e.host.charge(cpu, func() {
-		e.host.pktsIn++
-		e.host.bytesIn += int64(total)
+		e.host.stats.PktsIn++
+		e.host.stats.BytesIn += int64(total)
 		advanced, dup := false, false
 		for _, ck := range chunks {
 			switch {
 			case ck.corrupt:
-				e.host.corruptIn++
+				e.host.stats.CorruptIn++
 			case ck.seq != e.rcvNxt:
 				dup = true // hole or duplicate; repeat the cumulative ack
 			default:
@@ -792,7 +792,7 @@ func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 // arrived) to the peer — the data sender — as its own ack packet, counted
 // on the host's ack meter.
 func (e *Endpoint) sendAck(ackNo int64) {
-	e.host.acksOut++
+	e.host.stats.AcksOut++
 	link := e.link
 	done := link.wire[e.dir].UseAsync(link.txTime(AckLen), nil)
 	sender := e.peer
@@ -884,7 +884,7 @@ func (e *Endpoint) acked(ackNo int64) {
 			if e.dupAcks >= thresh && e.sndUna >= e.recoverUntil {
 				e.dupAcks = 0
 				e.recoverUntil = e.sndNxt
-				e.host.fastRetrans++
+				e.host.stats.FastRetransmits++
 				e.retransmit()
 				e.restartRTO()
 			}

@@ -51,7 +51,7 @@ func TestCorkGathersMixedRefAndCopyItems(t *testing.T) {
 	})
 	r.eng.Run()
 
-	pktsOut, _, bytesOut, _ := r.server.Stats()
+	pktsOut, bytesOut := r.server.Stats().PktsOut, r.server.Stats().BytesOut
 	if pktsOut != 1 {
 		t.Fatalf("three corked sub-MSS sends used %d segments, want 1", pktsOut)
 	}
@@ -106,7 +106,7 @@ func TestCorkDoneOrderingOneSegmentManyItems(t *testing.T) {
 		ep.Close(p)
 	})
 	r.eng.Run()
-	pktsOut, _, _, _ := r.server.Stats()
+	pktsOut := r.server.Stats().PktsOut
 	if pktsOut != 1 {
 		t.Fatalf("corked items used %d segments, want 1", pktsOut)
 	}
@@ -181,11 +181,12 @@ func TestCorkedRefSegmentsHitChecksumCache(t *testing.T) {
 		ep.Close(p)
 	})
 	r.eng.Run()
-	pktsOut, _, _, _ := r.server.Stats()
+	pktsOut := r.server.Stats().PktsOut
 	if pktsOut != 2 {
 		t.Fatalf("two corked rounds used %d segments, want 2", pktsOut)
 	}
-	hits, _, hitBytes, missBytes := ck.Stats()
+	cs := ck.Stats()
+	hits, hitBytes, missBytes := cs.Hits, cs.HitBytes, cs.MissBytes
 	if hits < 2 || hitBytes < 600 {
 		t.Fatalf("round 2 hit the cache %d times / %d bytes, want every gathered piece (≥2 / ≥600)",
 			hits, hitBytes)
@@ -275,7 +276,7 @@ func TestNagleCoalescesWindowStarvedStream(t *testing.T) {
 		ep.Close(p)
 	})
 	r.eng.Run()
-	pktsOut, _, bytesOut, _ := r.server.Stats()
+	pktsOut, bytesOut := r.server.Stats().PktsOut, r.server.Stats().BytesOut
 	if bytesOut != total {
 		t.Fatalf("bytesOut = %d, want %d", bytesOut, total)
 	}

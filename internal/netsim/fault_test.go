@@ -33,7 +33,7 @@ func refTransfer(t *testing.T, fp *FaultPlan, want []byte) (got []byte, copied i
 		ep.Close(p)
 	})
 	r.eng.Run()
-	return got, r.costs.MeterCopiedBytes(), r
+	return got, r.costs.Stats().CopiedBytes, r
 }
 
 // TestDropRetransmitRecovers pins the tentpole invariant: under segment
@@ -51,7 +51,7 @@ func TestDropRetransmitRecovers(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("lossy transfer corrupted: got %d bytes, want %d", len(got), len(want))
 	}
-	segs, rbytes := r.server.RetransStats()
+	segs, rbytes := r.server.Stats().RetransSegs, r.server.Stats().RetransBytes
 	if segs == 0 || rbytes == 0 {
 		t.Fatal("5% loss produced no retransmissions")
 	}
@@ -76,14 +76,14 @@ func TestCorruptionCaughtByCksum(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("transfer under corruption mangled: got %d bytes, want %d", len(got), len(want))
 	}
-	if r.client.CorruptIn() == 0 {
+	if r.client.Stats().CorruptIn == 0 {
 		t.Fatal("no segments were rejected by checksum verification")
 	}
 	_, corrupted := r.link.FaultPlan().Stats()
-	if corrupted != r.client.CorruptIn() {
-		t.Fatalf("plan corrupted %d segments, receiver rejected %d", corrupted, r.client.CorruptIn())
+	if corrupted != r.client.Stats().CorruptIn {
+		t.Fatalf("plan corrupted %d segments, receiver rejected %d", corrupted, r.client.Stats().CorruptIn)
 	}
-	segs, _ := r.server.RetransStats()
+	segs := r.server.Stats().RetransSegs
 	if segs == 0 {
 		t.Fatal("corruption produced no retransmissions")
 	}
@@ -114,7 +114,7 @@ func TestPartitionWindowRecovers(t *testing.T) {
 	// Exponential backoff must keep the retry storm bounded: a 28 ms outage
 	// with a 1 ms initial RTO doubling to 1 s allows only a handful of
 	// probes per in-flight window.
-	if segs, _ := r.server.RetransStats(); segs > 300 {
+	if segs := r.server.Stats().RetransSegs; segs > 300 {
 		t.Fatalf("backoff failed: %d retransmissions for a 28ms outage", segs)
 	}
 }
@@ -142,7 +142,7 @@ func TestCopyModeDropRecovers(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("copy-mode lossy transfer corrupted: got %d bytes", len(got))
 	}
-	if segs, _ := r.server.RetransStats(); segs == 0 {
+	if segs := r.server.Stats().RetransSegs; segs == 0 {
 		t.Fatal("no retransmissions under 3% loss")
 	}
 	if pages := r.vm.UsedBy(mem.TagSockBuf); pages != 0 {
@@ -176,7 +176,7 @@ func TestHostFaultPlan(t *testing.T) {
 	if dropped, _ := r.server.FaultPlan().Stats(); dropped == 0 {
 		t.Fatal("host plan dropped nothing")
 	}
-	if segs, _ := r.server.RetransStats(); segs == 0 {
+	if segs := r.server.Stats().RetransSegs; segs == 0 {
 		t.Fatal("no retransmissions")
 	}
 }
@@ -227,7 +227,7 @@ func TestFaultDeterminism(t *testing.T) {
 	run := func() (int64, int64, int64) {
 		_, _, r := refTransfer(t, &FaultPlan{DropProb: 0.04, CorruptProb: 0.02, Seed: 99}, want)
 		d, c := r.link.FaultPlan().Stats()
-		segs, _ := r.server.RetransStats()
+		segs := r.server.Stats().RetransSegs
 		return d, c, segs
 	}
 	d1, c1, s1 := run()

@@ -66,15 +66,7 @@ type Host struct {
 	// reference-mode sends from this host.
 	ck *cksum.Cache
 
-	pktsOut, pktsIn   int64
-	bytesOut, bytesIn int64
-
-	// segsOut counts MSS-granular wire chunks (a super-segment carries
-	// several; without offload segsOut == pktsOut) and acksOut the ack
-	// packets this host put on the wire — together with pktsOut, the
-	// full packet-economy picture.
-	segsOut int64
-	acksOut int64
+	stats HostStats
 
 	// offload enables LSO/GRO-style segment offload for this host's
 	// endpoints: super-segment send gathering, coalesced receive events,
@@ -85,13 +77,6 @@ type Host struct {
 	// faults, when non-nil, injects faults into every data segment this
 	// host transmits (see fault.go).
 	faults *FaultPlan
-
-	// Recovery counters: data segments this host retransmitted (and their
-	// payload bytes), dup-ack-triggered recovery rounds (vs timer-driven),
-	// and received segments its checksum verification rejected.
-	retransSegs, retransBytes int64
-	fastRetrans               int64
-	corruptIn                 int64
 }
 
 // NewHost creates a host. charged selects whether the host has a measured
@@ -176,47 +161,36 @@ func (h *Host) SegCapacity() int {
 	return MSS
 }
 
-// Stats reports packet and byte counters. pktsOut counts charged transmit
-// units this host put on the wire — data segments, or super-segments with
-// offload on (acks and FINs are not data segments).
-func (h *Host) Stats() (pktsOut, pktsIn, bytesOut, bytesIn int64) {
-	return h.pktsOut, h.pktsIn, h.bytesOut, h.bytesIn
+// HostStats are a host's network counters, zeroed whole by ResetMeters.
+type HostStats struct {
+	// PktsOut counts charged transmit units this host put on the wire —
+	// data segments, or super-segments with offload on (acks and FINs are
+	// not data segments) — and BytesOut their payload bytes.
+	// Retransmissions count too: they really occupy the wire.
+	PktsOut, PktsIn   int64
+	BytesOut, BytesIn int64
+	// SegsOut counts MSS-granular wire chunks (a super-segment carries
+	// several; without offload SegsOut == PktsOut).
+	SegsOut int64
+	// AcksOut counts ack packets. Piggybacked acks (riding an outgoing
+	// data segment under offload) are not packets and don't count.
+	AcksOut int64
+	// RetransSegs / RetransBytes are the data segments this host
+	// retransmitted and the payload bytes they re-carried.
+	RetransSegs, RetransBytes int64
+	// FastRetransmits counts dup-ack-triggered recovery rounds (fast or
+	// early retransmit), as opposed to RTO-driven ones.
+	FastRetransmits int64
+	// CorruptIn counts received segments checksum verification rejected.
+	CorruptIn int64
 }
 
-// SegsOut reports the MSS-granular wire chunks this host transmitted
-// (including retransmissions); equal to pktsOut when offload is off.
-func (h *Host) SegsOut() int64 { return h.segsOut }
+// Stats returns the host's network counters.
+func (h *Host) Stats() HostStats { return h.stats }
 
-// AcksOut reports the ack packets this host transmitted. Piggybacked
-// acks (riding an outgoing data segment under offload) are not packets
-// and don't count.
-func (h *Host) AcksOut() int64 { return h.acksOut }
-
-// ResetNetStats zeroes the packet, byte, and recovery counters, so a
-// measurement window can exclude warmup traffic.
-func (h *Host) ResetNetStats() {
-	h.pktsOut, h.pktsIn, h.bytesOut, h.bytesIn = 0, 0, 0, 0
-	h.segsOut, h.acksOut = 0, 0
-	h.retransSegs, h.retransBytes, h.fastRetrans, h.corruptIn = 0, 0, 0, 0
-}
-
-// ResetMeters implements the obs.Resetter seam (alias for ResetNetStats).
-func (h *Host) ResetMeters() { h.ResetNetStats() }
-
-// RetransStats reports data segments this host retransmitted and the
-// payload bytes they re-carried — the recovery-overhead meter. Retransmitted
-// segments also count in pktsOut/bytesOut: they really occupy the wire.
-func (h *Host) RetransStats() (segs, bytes int64) {
-	return h.retransSegs, h.retransBytes
-}
-
-// FastRetransmits reports dup-ack-triggered recovery rounds (fast or
-// early retransmit), as opposed to RTO-driven ones — the meter that shows
-// the dup-ack signal survives delayed acks.
-func (h *Host) FastRetransmits() int64 { return h.fastRetrans }
-
-// CorruptIn reports received segments discarded by checksum verification.
-func (h *Host) CorruptIn() int64 { return h.corruptIn }
+// ResetMeters zeroes the network counters, so a measurement window can
+// exclude warmup traffic. Configuration (offload, faults) stays.
+func (h *Host) ResetMeters() { h.stats = HostStats{} }
 
 // MeanSegFill reports the mean payload fill of this host's charged
 // transmit units as a fraction of their capacity (1.0 = every unit full):
@@ -224,10 +198,10 @@ func (h *Host) CorruptIn() int64 { return h.corruptIn }
 // is on — a super-segment is one charged unit, so measuring it against
 // one MSS would read as >100% fill. 0 when the host has sent nothing.
 func (h *Host) MeanSegFill() float64 {
-	if h.pktsOut == 0 {
+	if h.stats.PktsOut == 0 {
 		return 0
 	}
-	return float64(h.bytesOut) / (float64(h.pktsOut) * float64(h.SegCapacity()))
+	return float64(h.stats.BytesOut) / (float64(h.stats.PktsOut) * float64(h.SegCapacity()))
 }
 
 // Link is a full-duplex point-to-point link: each direction has independent

@@ -76,12 +76,12 @@ func TestHostPacketCounters(t *testing.T) {
 		ep.Close(p)
 	})
 	r.eng.Run()
-	pktsOut, _, bytesOut, _ := r.server.Stats()
+	pktsOut, bytesOut := r.server.Stats().PktsOut, r.server.Stats().BytesOut
 	wantPkts := int64((total + MSS - 1) / MSS)
 	if pktsOut != wantPkts || bytesOut != int64(total) {
 		t.Fatalf("server out: %d pkts/%d bytes, want %d/%d", pktsOut, bytesOut, wantPkts, total)
 	}
-	_, pktsIn, _, bytesIn := r.client.Stats()
+	pktsIn, bytesIn := r.client.Stats().PktsIn, r.client.Stats().BytesIn
 	if pktsIn != wantPkts || bytesIn != int64(total) {
 		t.Fatalf("client in: %d pkts/%d bytes", pktsIn, bytesIn)
 	}

@@ -248,7 +248,7 @@ func TestChecksumCacheSavesServerCPU(t *testing.T) {
 		master := core.PackBytes(p, r.pool, want)
 		ep := conn.ServerEnd()
 
-		r.server.CPU().ResetStats()
+		r.server.CPU().ResetMeters()
 		b0 := r.server.CPU().FreeAt()
 		ep.Send(p, Payload{Agg: master.Clone()}, nil)
 		ep.Drain(p)
@@ -267,7 +267,7 @@ func TestChecksumCacheSavesServerCPU(t *testing.T) {
 	if saved < r.costs.PriceCksum(size)*8/10 {
 		t.Fatalf("checksum cache saved %v, want ≈ %v", saved, r.costs.PriceCksum(size))
 	}
-	hits, _, hitBytes, _ := ck.Stats()
+	hits, hitBytes := ck.Stats().Hits, ck.Stats().HitBytes
 	if hits == 0 || hitBytes < size {
 		t.Fatalf("cache hits=%d hitBytes=%d", hits, hitBytes)
 	}

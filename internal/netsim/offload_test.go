@@ -55,18 +55,18 @@ func TestOffloadPacketEconomy(t *testing.T) {
 		t.Fatalf("offload transfer corrupted: got %d bytes, want %d", len(onGot), len(want))
 	}
 
-	offPkts, _, _, _ := off.server.Stats()
-	onPkts, _, _, _ := on.server.Stats()
+	offPkts := off.server.Stats().PktsOut
+	onPkts := on.server.Stats().PktsOut
 	if onPkts*2 >= offPkts {
 		t.Fatalf("offload charged %d transmit units vs %d without — expected <half", onPkts, offPkts)
 	}
 	// The NIC re-segments super-segments into the same MSS wire chunks.
-	if on.server.SegsOut() != offPkts {
-		t.Fatalf("offload put %d MSS chunks on the wire, offload-off %d — same payload, same chunks", on.server.SegsOut(), offPkts)
+	if on.server.Stats().SegsOut != offPkts {
+		t.Fatalf("offload put %d MSS chunks on the wire, offload-off %d — same payload, same chunks", on.server.Stats().SegsOut, offPkts)
 	}
 	// Delayed acks: at most one ack per AckEvery receive events (plus the
 	// timer flushes), against one per segment without offload.
-	offAcks, onAcks := off.client.AcksOut(), on.client.AcksOut()
+	offAcks, onAcks := off.client.Stats().AcksOut, on.client.Stats().AcksOut
 	if offAcks == 0 || onAcks == 0 {
 		t.Fatalf("ack meters silent: off %d, on %d", offAcks, onAcks)
 	}
@@ -93,7 +93,7 @@ func TestNagleDelayedAckNoDeadlock(t *testing.T) {
 	if elapsed := time.Duration(r.eng.Now()); elapsed > 5*time.Millisecond {
 		t.Fatalf("transfer took %v — Nagle/delayed-ack stall not bounded by AckDelay", elapsed)
 	}
-	if segs, _ := r.server.RetransStats(); segs != 0 {
+	if segs := r.server.Stats().RetransSegs; segs != 0 {
 		t.Fatalf("%d retransmissions on a reliable wire", segs)
 	}
 }
@@ -144,7 +144,7 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("DropList dropped %d chunks, want 1", dropped)
 	}
-	_, rbytes := r.server.RetransStats()
+	rbytes := r.server.Stats().RetransBytes
 	if rbytes == 0 {
 		t.Fatal("no retransmission for the dropped chunk")
 	}
@@ -172,7 +172,7 @@ func TestOffloadDupAckFastRetransmit(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("hole not recovered: got %d bytes, want %d", len(got), len(want))
 	}
-	segs, rbytes := r.server.RetransStats()
+	segs, rbytes := r.server.Stats().RetransSegs, r.server.Stats().RetransBytes
 	if segs != 2 {
 		t.Fatalf("fast retransmit resent %d records, want 2 (trimmed head + go-back-N tail)", segs)
 	}
@@ -183,7 +183,7 @@ func TestOffloadDupAckFastRetransmit(t *testing.T) {
 	}
 	// Exactly one recovery round, and it was dup-ack-driven — the RTO
 	// never had to fire.
-	if fast := r.server.FastRetransmits(); fast != 1 {
+	if fast := r.server.Stats().FastRetransmits; fast != 1 {
 		t.Fatalf("%d dup-ack recovery rounds, want 1 (timer-driven recovery means the dup-ack was delayed)", fast)
 	}
 }
@@ -201,11 +201,11 @@ func TestOffloadLossRecovery(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("lossy offload transfer corrupted: got %d bytes, want %d", len(got), len(want))
 	}
-	segs, _ := r.server.RetransStats()
+	segs := r.server.Stats().RetransSegs
 	if segs == 0 {
 		t.Fatal("1% loss produced no retransmissions")
 	}
-	if copied := r.costs.MeterCopiedBytes(); copied != cleanCopied {
+	if copied := r.costs.Stats().CopiedBytes; copied != cleanCopied {
 		t.Fatalf("offload recovery re-charged copies: %d copied bytes vs %d clean", copied, cleanCopied)
 	}
 	if live := r.pool.LivePages(); live > mem.PagesPerChunk {
@@ -254,7 +254,7 @@ func TestOffloadDeterminism(t *testing.T) {
 	run := func() (int64, int64, int64) {
 		_, r := offloadTransfer(t, &FaultPlan{DropProb: 0.03, Seed: 42}, want, 0)
 		d, c := r.link.FaultPlan().Stats()
-		segs, _ := r.server.RetransStats()
+		segs := r.server.Stats().RetransSegs
 		return d, c, segs
 	}
 	d1, c1, s1 := run()

@@ -283,17 +283,3 @@ func TestWriteTraceValidJSON(t *testing.T) {
 		t.Fatalf("nil collector trace is not valid JSON: %v", err)
 	}
 }
-
-func TestResetSet(t *testing.T) {
-	var s ResetSet
-	n := 0
-	s.Add(ResetFunc(func() { n++ }), nil, ResetFunc(func() { n += 10 }))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (nil skipped)", s.Len())
-	}
-	s.Reset()
-	s.Reset()
-	if n != 22 {
-		t.Errorf("resets ran %d units of work, want 22", n)
-	}
-}

@@ -114,15 +114,7 @@ type CostModel struct {
 	// bytes. Misses charge Cksum for the bytes on top.
 	CksumLookup time.Duration
 
-	// meter accumulates the per-byte work the model has priced out, for
-	// tests and benchmarks that assert "zero copies on this path" or report
-	// copies avoided. Copy and Cksum are only invoked where the resulting
-	// duration is charged, so the meter tracks charged work. meterSyscalls
-	// counts kernel crossings priced via MeterSyscall — the currency the
-	// submission ring economizes.
-	meterCopied   int64
-	meterCksum    int64
-	meterSyscalls int64
+	stats CostStats
 
 	// DiskSeek is the average positioning time per disk request;
 	// DiskPSPerByte the media transfer cost per byte.
@@ -190,7 +182,7 @@ func DefaultCosts() *CostModel {
 // work. Callers that only want the price (test assertions, capacity math)
 // must use PriceCopy instead, which leaves the meter alone.
 func (c *CostModel) Copy(n int) time.Duration {
-	c.meterCopied += int64(n)
+	c.stats.CopiedBytes += int64(n)
 	if c.OnCharge != nil {
 		c.OnCharge(ChargeCopy, int64(n), nil)
 	}
@@ -205,7 +197,7 @@ func (c *CostModel) PriceCopy(n int) time.Duration {
 // Cksum returns the cost of checksumming n bytes and meters them as charged
 // checksum work. Pure queries must use PriceCksum.
 func (c *CostModel) Cksum(n int) time.Duration {
-	c.meterCksum += int64(n)
+	c.stats.CksumBytes += int64(n)
 	if c.OnCharge != nil {
 		c.OnCharge(ChargeCksum, int64(n), nil)
 	}
@@ -221,7 +213,7 @@ func (c *CostModel) PriceCksum(n int) time.Duration {
 // Every charged syscall entry point routes through this, so the counter is
 // the machine-wide syscall tally (pure price queries read Syscall directly).
 func (c *CostModel) MeterSyscall() time.Duration {
-	c.meterSyscalls++
+	c.stats.Syscalls++
 	if c.OnCharge != nil {
 		c.OnCharge(ChargeSyscall, 1, nil)
 	}
@@ -238,22 +230,26 @@ func (c *CostModel) EmitWire(n int64, bind interface{}) {
 	}
 }
 
-// MeterSyscallCount reports the syscalls charged since the last ResetMeter.
-func (c *CostModel) MeterSyscallCount() int64 { return c.meterSyscalls }
+// CostStats meter the work the model has priced out, for tests and
+// benchmarks that assert "zero copies on this path" or report copies
+// avoided. Copy, Cksum and MeterSyscall are only invoked where the
+// resulting duration is charged, so the meters track charged work.
+type CostStats struct {
+	// CopiedBytes is copy work priced by Copy, machine-wide.
+	CopiedBytes int64
+	// CksumBytes is checksum work priced by Cksum (checksum-cache hits
+	// never reach Cksum, so they don't count).
+	CksumBytes int64
+	// Syscalls counts kernel crossings priced by MeterSyscall — the
+	// currency the submission ring economizes.
+	Syscalls int64
+}
 
-// MeterCopiedBytes reports the bytes of copy work priced since the last
-// ResetMeter — every site that charges CostModel.Copy, machine-wide.
-func (c *CostModel) MeterCopiedBytes() int64 { return c.meterCopied }
+// Stats returns the charged-work meters.
+func (c *CostModel) Stats() CostStats { return c.stats }
 
-// MeterCksumBytes reports the bytes of checksum work priced since the last
-// ResetMeter (checksum-cache hits never reach Cksum, so they don't count).
-func (c *CostModel) MeterCksumBytes() int64 { return c.meterCksum }
-
-// ResetMeter zeroes the charged-work meter.
-func (c *CostModel) ResetMeter() { c.meterCopied, c.meterCksum, c.meterSyscalls = 0, 0, 0 }
-
-// ResetMeters implements the obs.Resetter seam (alias for ResetMeter).
-func (c *CostModel) ResetMeters() { c.ResetMeter() }
+// ResetMeters zeroes the charged-work meters.
+func (c *CostModel) ResetMeters() { c.stats = CostStats{} }
 
 // Touch returns the default cost of application code examining n bytes.
 func (c *CostModel) Touch(n int) time.Duration {

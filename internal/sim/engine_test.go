@@ -200,8 +200,8 @@ func TestResourceFIFOSerialization(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", done, want)
 		}
 	}
-	if got := cpu.Uses(); got != 3 {
-		t.Fatalf("Uses = %d, want 3", got)
+	if got := cpu.BusyTime(); got != 30*time.Millisecond {
+		t.Fatalf("BusyTime = %v, want 30ms", got)
 	}
 	if u := cpu.Utilization(); u < 0.99 || u > 1.0 {
 		t.Fatalf("Utilization = %v, want ≈1", u)

@@ -12,7 +12,6 @@ type Resource struct {
 	freeAt Time // instant the resource next becomes idle
 
 	busy     Duration // accumulated service time, for utilization stats
-	uses     int64
 	statFrom Time
 }
 
@@ -34,7 +33,6 @@ func (r *Resource) Use(p *Proc, d Duration) Time {
 	done := start.Add(d)
 	r.freeAt = done
 	r.busy += d
-	r.uses++
 	p.SleepUntil(done)
 	return done
 }
@@ -52,7 +50,6 @@ func (r *Resource) UseAsync(d Duration, fn func()) Time {
 	done := start.Add(d)
 	r.freeAt = done
 	r.busy += d
-	r.uses++
 	if fn != nil {
 		r.eng.At(done, fn)
 	}
@@ -84,20 +81,12 @@ func (r *Resource) Utilization() float64 {
 	return u
 }
 
-// Uses reports how many service demands have been accepted since reset.
-func (r *Resource) Uses() int64 { return r.uses }
-
 // BusyTime reports the total service time accepted since reset (it may
 // extend past the current instant when work is queued).
 func (r *Resource) BusyTime() Duration { return r.busy }
 
-// ResetStats zeroes the utilization counters.
-// ResetMeters aliases ResetStats so a resource drops into an
-// obs.ResetSet alongside the other meters.
-func (r *Resource) ResetMeters() { r.ResetStats() }
-
-func (r *Resource) ResetStats() {
+// ResetMeters zeroes the utilization accounting.
+func (r *Resource) ResetMeters() {
 	r.busy = 0
-	r.uses = 0
 	r.statFrom = r.eng.now
 }

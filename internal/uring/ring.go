@@ -43,24 +43,13 @@ func (r *Ring) prep(sqe kernel.SQE) uint64 {
 	return sqe.Token
 }
 
-// PrepIOLRead stages IOL_read: up to n bytes from fd as an aggregate,
-// advancing the cursor. Ready deliveries coalesce into one completion.
-func (r *Ring) PrepIOLRead(fd int, n int64) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpIOLRead, FD: fd, Off: -1, N: n})
-}
-
-// PrepIOLReadFull stages IOL_read that parks until at least need bytes
-// have coalesced (MSG_WAITALL), still folding in everything ready up to n.
-// One completion per record-sized read, however many deliveries carry it.
+// PrepIOLReadFull stages IOL_read: up to n bytes from fd as an aggregate,
+// advancing the cursor. Ready deliveries coalesce into one completion; a
+// positive need parks the op until at least need bytes have coalesced
+// (MSG_WAITALL), so one completion carries a record-sized read however
+// many deliveries carry it.
 func (r *Ring) PrepIOLReadFull(fd int, need, n int64) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpIOLRead, FD: fd, Off: -1, N: n, Need: need})
-}
-
-// PrepIOLReadAt stages the positional IOL_read (pread shape): no cursor
-// is read or moved, so one cached file descriptor can serve concurrent
-// connections through the ring.
-func (r *Ring) PrepIOLReadAt(fd int, off, n int64) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpIOLRead, FD: fd, Off: off, N: n})
 }
 
 // PrepIOLWrite stages IOL_write of a to fd. Ownership of a transfers to
@@ -69,13 +58,9 @@ func (r *Ring) PrepIOLWrite(fd int, a *core.Agg) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpIOLWrite, FD: fd, Agg: a, N: int64(a.Len())})
 }
 
-// PrepReadPOSIX stages read(2) into buf (copy charged at execution).
-func (r *Ring) PrepReadPOSIX(fd int, buf []byte) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpReadPOSIX, FD: fd, Buf: buf})
-}
-
-// PrepReadPOSIXFull stages read(2) that parks until at least need bytes
-// are in buf (MSG_WAITALL), still coalescing everything ready.
+// PrepReadPOSIXFull stages read(2) into buf (copy charged at execution),
+// coalescing everything ready; a positive need parks the op until at
+// least need bytes are in buf (MSG_WAITALL).
 func (r *Ring) PrepReadPOSIXFull(fd int, need int64, buf []byte) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpReadPOSIX, FD: fd, Buf: buf, Need: need})
 }
@@ -89,12 +74,6 @@ func (r *Ring) PrepWritePOSIX(fd int, buf []byte) uint64 {
 // into dstFD, sealed buffer references end to end, zero copy charge.
 func (r *Ring) PrepSpliceAt(dstFD, srcFD int, off, n int64) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpSpliceAt, FD: dstFD, SrcFD: srcFD, Off: off, N: n})
-}
-
-// PrepAccept stages an accept on listener fd; the completion's Res is the
-// new connection's fd.
-func (r *Ring) PrepAccept(lfd int) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpAccept, FD: lfd})
 }
 
 // PrepCork stages a TCP_CORK toggle ordered with the staged writes around
@@ -120,9 +99,6 @@ func (r *Ring) Submit(p *sim.Proc) int {
 func (r *Ring) Reap(p *sim.Proc, min int) []kernel.CQE {
 	return r.rd.Reap(p, min)
 }
-
-// Outstanding reports in-flight ops plus completions not yet reaped.
-func (r *Ring) Outstanding() int { return r.rd.Outstanding() }
 
 // Stats reports ops carried and the Submit/Reap syscalls that carried
 // them: the batching ratio (ops per syscall) the subsystem exists to

@@ -67,7 +67,7 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 	var before, after int64
 	b.eng.Go("writer", func(p *sim.Proc) {
 		rung = New(b.m, b.wr)
-		before = b.m.Costs.MeterSyscallCount()
+		before = b.m.Costs.Stats().Syscalls
 		for i := 0; i < ops; i++ {
 			rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, data))
 		}
@@ -75,7 +75,7 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 			t.Errorf("Submit accepted %d ops, want %d", got, ops)
 		}
 		cqes = rung.Reap(p, ops)
-		after = b.m.Costs.MeterSyscallCount()
+		after = b.m.Costs.Stats().Syscalls
 		b.m.Close(p, b.wr, b.wfd)
 	})
 	b.eng.Run()
@@ -228,7 +228,7 @@ func TestReadCoalescing(t *testing.T) {
 		// Let every chunk land in the pipe before the ring read runs.
 		p.Sleep(sim.Duration(1e9))
 		rung := New(b.m, b.rd)
-		rung.PrepIOLRead(b.rfd, kernel.MaxIO)
+		rung.PrepIOLReadFull(b.rfd, 0, kernel.MaxIO)
 		rung.Submit(p)
 		cqes := rung.Reap(p, 1)
 		if len(cqes) != 1 || cqes[0].Err != nil {
@@ -292,52 +292,6 @@ func TestPollerListenerBacklog(t *testing.T) {
 
 	if accepted != dials {
 		t.Errorf("drained %d pending accepts, want %d", accepted, dials)
-	}
-}
-
-// TestRingAccept: accepts flow through the ring like any other op, each
-// completion carrying the new connection's fd.
-func TestRingAccept(t *testing.T) {
-	const dials = 2
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	m := kernel.NewMachine(eng, costs, kernel.Config{HostName: "server"})
-	pr := m.NewProcess("srv", 1<<20)
-	client := netsim.NewHost(eng, costs, "client", false, nil, nil)
-	link := netsim.NewLink(eng, client, m.Host, 100_000_000, sim.Duration(1e6))
-	lst := netsim.NewListener(m.Host)
-	lfd := m.Listen(pr, lst)
-
-	for i := 0; i < dials; i++ {
-		eng.Go("dial", func(p *sim.Proc) {
-			netsim.Dial(p, client, link, lst, netsim.ConnOpts{Tss: 64 << 10})
-		})
-	}
-
-	var fds []int
-	eng.Go("srv", func(p *sim.Proc) {
-		rung := New(m, pr)
-		for i := 0; i < dials; i++ {
-			rung.PrepAccept(lfd)
-		}
-		rung.Submit(p)
-		for _, cqe := range rung.Reap(p, dials) {
-			if cqe.Err != nil {
-				t.Errorf("ring accept: %v", cqe.Err)
-				continue
-			}
-			fds = append(fds, int(cqe.Res))
-		}
-		for _, fd := range fds {
-			if d, err := pr.Desc(fd); err != nil || d.Kind() != kernel.KindSocket {
-				t.Errorf("fd %d: not an open socket (%v)", fd, err)
-			}
-		}
-	})
-	eng.Run()
-
-	if len(fds) != dials {
-		t.Errorf("ring accepted %d connections, want %d", len(fds), dials)
 	}
 }
 
