@@ -42,19 +42,17 @@ func (s PartialSum) swap() PartialSum {
 	return PartialSum(s>>8 | s<<8)
 }
 
-// Combine adds part b (of length bLen bytes) after a, where b starts at
-// absolute byte offset off in the overall message. bLen is needed by
-// callers chaining further parts; Combine itself only needs the offset
-// parity.
-func Combine(a PartialSum, b PartialSum, off int) PartialSum {
+// combine adds part b after a, where b starts at absolute byte offset off
+// in the overall message; only the offset's parity matters.
+func combine(a PartialSum, b PartialSum, off int) PartialSum {
 	if off%2 == 1 {
 		b = b.swap()
 	}
 	return fold(uint64(a) + uint64(b))
 }
 
-// Finish complements a partial sum into the on-the-wire checksum value.
-func Finish(s PartialSum) uint16 {
+// finish complements a partial sum into the on-the-wire checksum value.
+func finish(s PartialSum) uint16 {
 	return ^uint16(s)
 }
 
@@ -136,14 +134,14 @@ func (c *Cache) slice(p *sim.Proc, costs *sim.CostModel, s core.Slice) PartialSu
 
 // Partial returns the un-complemented partial sum of the aggregate's
 // contents (even-offset normalized) — the composable form Aggregate
-// finishes. Integrity layers that fold a stream of reads into one running
-// checksum Combine Partials across calls. Slice sums come from the cache
-// when possible; only missed slices cost CPU time.
+// finishes, and what the send path runs per gathered ref piece of a
+// segment. Slice sums come from the cache when possible;
+// only missed slices cost CPU time.
 func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, a *core.Agg) PartialSum {
 	var acc PartialSum
 	off := 0
 	for _, s := range a.Slices() {
-		acc = Combine(acc, c.slice(p, costs, s), off)
+		acc = combine(acc, c.slice(p, costs, s), off)
 		off += s.Len
 	}
 	return acc
@@ -152,7 +150,7 @@ func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, a *core.Agg) PartialS
 // Aggregate returns the finished Internet checksum of the aggregate's
 // contents, assuming they start at even offset (e.g. a TCP payload).
 func (c *Cache) Aggregate(p *sim.Proc, costs *sim.CostModel, a *core.Agg) uint16 {
-	return Finish(c.Partial(p, costs, a))
+	return finish(c.Partial(p, costs, a))
 }
 
 // AggregateNoCache computes the checksum touching every byte, charging full
@@ -162,11 +160,11 @@ func AggregateNoCache(p *sim.Proc, costs *sim.CostModel, a *core.Agg) uint16 {
 	var acc PartialSum
 	off := 0
 	for _, s := range a.Slices() {
-		acc = Combine(acc, Sum(s.Bytes()), off)
+		acc = combine(acc, Sum(s.Bytes()), off)
 		off += s.Len
 	}
 	if p != nil {
 		p.Sleep(costs.Cksum(a.Len()))
 	}
-	return Finish(acc)
+	return finish(acc)
 }

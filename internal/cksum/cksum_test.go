@@ -17,8 +17,8 @@ func TestSumKnownVectors(t *testing.T) {
 	if got := Sum(data); got != 0xddf2 {
 		t.Fatalf("Sum = %#x, want 0xddf2", got)
 	}
-	if got := Finish(Sum(data)); got != ^uint16(0xddf2) {
-		t.Fatalf("Finish = %#x", got)
+	if got := finish(Sum(data)); got != ^uint16(0xddf2) {
+		t.Fatalf("finish = %#x", got)
 	}
 	if got := Sum(nil); got != 0 {
 		t.Fatalf("Sum(nil) = %#x", got)
@@ -37,7 +37,7 @@ func TestQuickCombineMatchesDirect(t *testing.T) {
 		data := make([]byte, n)
 		rand.New(rand.NewSource(seed)).Read(data)
 		cut := int(cutFrac) * n / 256
-		combined := Combine(Sum(data[:cut]), Sum(data[cut:]), cut)
+		combined := combine(Sum(data[:cut]), Sum(data[cut:]), cut)
 		return combined == Sum(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -60,7 +60,7 @@ func TestQuickManyWayCombine(t *testing.T) {
 			if off+l > n {
 				l = n - off
 			}
-			acc = Combine(acc, Sum(data[off:off+l]), off)
+			acc = combine(acc, Sum(data[off:off+l]), off)
 			off += l
 		}
 		return acc == Sum(data)
@@ -95,7 +95,7 @@ func TestAggregateChecksumCorrectAndCached(t *testing.T) {
 		a.Concat(b)
 		b.Release()
 
-		want := Finish(Sum(data))
+		want := finish(Sum(data))
 		t0 := p.Now()
 		if got := cache.Aggregate(p, ev.c, a); got != want {
 			t.Errorf("cached cksum = %#x, want %#x", got, want)
@@ -152,7 +152,7 @@ func TestGenerationChangeInvalidates(t *testing.T) {
 		if first == second {
 			t.Error("stale checksum served after buffer reallocation")
 		}
-		if want := Finish(Sum([]byte{9, 9, 9, 9})); second != want {
+		if want := finish(Sum([]byte{9, 9, 9, 9})); second != want {
 			t.Errorf("got %#x, want %#x", second, want)
 		}
 		a2.Release()
@@ -167,7 +167,7 @@ func TestAggregateNoCacheAlwaysCharges(t *testing.T) {
 		data := make([]byte, 5000)
 		rand.New(rand.NewSource(9)).Read(data)
 		a := core.PackBytes(p, ev.pool, data)
-		want := Finish(Sum(data))
+		want := finish(Sum(data))
 		for i := 0; i < 2; i++ {
 			t0 := p.Now()
 			if got := AggregateNoCache(p, ev.c, a); got != want {
@@ -204,8 +204,8 @@ func TestQuickAggregateMatchesFlat(t *testing.T) {
 				s.Buf.Release()
 				off += l
 			}
-			ok := cache.Aggregate(p, ev.c, a) == Finish(Sum(data)) &&
-				AggregateNoCache(p, ev.c, a) == Finish(Sum(data))
+			ok := cache.Aggregate(p, ev.c, a) == finish(Sum(data)) &&
+				AggregateNoCache(p, ev.c, a) == finish(Sum(data))
 			a.Release()
 			return ok
 		}

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync/atomic"
 
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
 
-var nextBufferID uint64
+// nextBufferID numbers buffers process-wide. Ids are only compared for
+// equality (checksum-cache keys), so concurrent worlds may share the
+// counter without changing any result.
+var nextBufferID atomic.Uint64
 
 // Pool is an IO-Lite allocation pool: a set of cached buffers with a common
 // access-control list (§3.3). The choice of pool determines which protection
@@ -145,9 +149,8 @@ func (pl *Pool) allocCold(pages int) (*Buffer, sim.Duration) {
 		pl.carved[chunk] += pages
 	}
 	cost += pl.vm.Costs().BufAllocCold
-	nextBufferID++
 	b := &Buffer{
-		id:         nextBufferID,
+		id:         nextBufferID.Add(1),
 		pool:       pl,
 		chunk:      chunk,
 		ownsChunks: ownsChunks,

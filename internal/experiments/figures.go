@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"iolite/internal/httpd"
@@ -138,10 +139,15 @@ func Fig7(opt Options) *Table {
 }
 
 // traceFor caches generated traces (generation is deterministic but costs a
-// second or two for the big logs).
-var traceCache = map[string]*wload.Trace{}
+// second or two for the big logs). The mutex lets concurrent runs share it.
+var (
+	traceMu    sync.Mutex
+	traceCache = map[string]*wload.Trace{}
+)
 
 func traceFor(spec wload.TraceSpec) *wload.Trace {
+	traceMu.Lock()
+	defer traceMu.Unlock()
 	if tr, ok := traceCache[spec.Name]; ok {
 		return tr
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,19 +133,61 @@ func goldenLiteral(name string, fields map[string]float64) string {
 	return b.String()
 }
 
-// TestGoldenResults pins every numeric result field of goldenRuns.
+// checkGolden fails t unless result v matches run name's golden entry.
+func checkGolden(t *testing.T, name string, v interface{}) {
+	t.Helper()
+	got := numericFields(v)
+	want, ok := goldenResults[name]
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s drifted from its golden result:\n got  %s\n want %s",
+			name, goldenLiteral(name, got), goldenLiteral(name, want))
+	}
+}
+
+// TestGoldenResults pins every numeric result field of goldenRuns. The
+// runs are parallel subtests: each owns its world, so concurrent runs
+// must give the serial results (and, under -race, share no state).
 func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs")
 	}
 	for _, g := range goldenRuns {
-		got := numericFields(g.run())
-		want, ok := goldenResults[g.name]
-		if !ok || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s drifted from its golden result:\n got  %s\n want %s",
-				g.name, goldenLiteral(g.name, got), goldenLiteral(g.name, want))
-		}
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, g.name, g.run())
+		})
 	}
+}
+
+// TestGoldenRunsReverseOrder runs goldenRuns forward and then in reverse
+// in one process. Every run must give its golden result whatever ran
+// before it, and the second pass must leave the live heap where the first
+// left it: no world outlives its run.
+func TestGoldenRunsReverseOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden runs")
+	}
+	for _, g := range goldenRuns {
+		checkGolden(t, g.name, g.run())
+	}
+	base := liveHeap()
+	for i := len(goldenRuns) - 1; i >= 0; i-- {
+		checkGolden(t, goldenRuns[i].name, goldenRuns[i].run())
+	}
+	after := liveHeap()
+	t.Logf("live heap: %d B after the forward pass, %d B after the reverse pass", base, after)
+	if after > base+1<<20 {
+		t.Errorf("live heap %d B after the reverse pass, %d B after the forward pass: more than 1 MB retained",
+			after, base)
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 var goldenResults = map[string]map[string]float64{

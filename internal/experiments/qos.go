@@ -207,8 +207,8 @@ func RunQoS(fp QoSParams) QoSResult {
 // victim p99 across the four legs of {uniform, aggressor} × {QoS off,
 // QoS on}, with the notes carrying the isolation verdict (victim p99
 // restored to within a fraction of its no-aggressor baseline), the
-// enforcement overhead on the uniform legs, and where the aggressor's
-// excess went.
+// enforcement overhead on the uniform legs (in kreq/s and in server
+// CPU-µs per request), and where the aggressor's excess went.
 func FigQoS(opt Options) *Table {
 	t := &Table{
 		Title:   "QoS: victim p99 (µs) under a heavy hitter, enforcement off vs on",
@@ -252,8 +252,19 @@ func FigQoS(opt Options) *Table {
 			"enforcement overhead %.1f%% kreq/s, sheds/req %.2f, aggressor goodput %.2f → %.2f kreq/s",
 			rs[1].VictimP99Us, rs[3].VictimP99Us, overhead,
 			rs[3].ShedsPerReq, rs[2].AggKReqPerSec, rs[3].AggKReqPerSec),
+		fmt.Sprintf("enforcement cost %.2f CPU-µs/req (qos on − off, uniform legs)",
+			cpuUsPerReq(rs[1], meas)-cpuUsPerReq(rs[0], meas)),
 		fmt.Sprintf("aggressor offered %.0f× one tenant's fair rate (conc %d, zero think)", rs[3].AggOfferedX, 32),
 		"enforcement: pool admission (share bound + per-tenant rate bucket) and within-weight routing",
 		fmt.Sprintf("%d tenants, %s think, 4KB ref-mode docs over loopback socket, offload on", tenants, "400ms"))
 	return t
+}
+
+// cpuUsPerReq is a leg's server CPU time per completed request over the
+// measure window, in microseconds.
+func cpuUsPerReq(r QoSResult, meas time.Duration) float64 {
+	if r.Requests == 0 {
+		return 0
+	}
+	return r.CPUUtil * float64(meas.Microseconds()) / float64(r.Requests)
 }

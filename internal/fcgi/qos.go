@@ -3,7 +3,6 @@ package fcgi
 import (
 	"errors"
 
-	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
@@ -11,7 +10,7 @@ import (
 // Multi-tenant QoS at the pool router — the PAIO-style policy/enforcement
 // split: policy lives here in one QoSConfig, enforcement rides the seams
 // that already exist (the routing decision in Do, the per-worker mux
-// depth, the shared-wheel token bucket). Admission control is deliberately
+// depth) plus one per-tenant token bucket. Admission control is deliberately
 // fail-fast: an over-limit request sheds with a typed error instead of
 // queueing, so an adversarial tenant's backlog lives in the tenant's own
 // retry loop, not in pool state the other tenants must queue behind.
@@ -45,8 +44,8 @@ type QoSConfig struct {
 	// (default 2); a tenant at its bound sheds with ErrOverShare.
 	MaxShare int
 	// ReqRate, when positive, bounds a weight-1 tenant's admitted
-	// requests/second with a per-tenant token bucket on the shared wheel;
-	// a tenant outrunning it sheds with ErrThrottled.
+	// requests/second with a per-tenant token bucket; a tenant outrunning
+	// it sheds with ErrThrottled.
 	ReqRate int64
 	// ReqBurst is the weight-1 bucket burst (default: one second of
 	// ReqRate).
@@ -77,7 +76,66 @@ func (q *QoSConfig) maxShare() int {
 type tenantQoS struct {
 	weight   int64
 	inflight int
-	bucket   *kernel.TokenBucket // nil when ReqRate is unset
+	bucket   *rateBucket // nil when ReqRate is unset
+}
+
+// nanoTok is the bucket's token granularity: one token (one request) is
+// 1e9 nano-tokens. At that scale a refill of `rate` tokens/second is
+// exactly `rate` nano-tokens per nanosecond, so refill arithmetic is
+// integer and drift-free.
+const nanoTok = int64(1e9)
+
+// rateBucket is a deterministic token bucket: tokens accrue continuously
+// at rate/sec up to burst, and admission takes them without ever parking.
+type rateBucket struct {
+	eng   *sim.Engine
+	rate  int64 // tokens per second == nano-tokens per nanosecond
+	burst int64 // bucket capacity in tokens
+	avail int64 // nano-tokens on hand
+	last  sim.Time
+}
+
+// newRateBucket makes a full bucket refilling at ratePerSec tokens/second
+// with the given burst capacity (burst <= 0: one second of rate).
+func newRateBucket(eng *sim.Engine, ratePerSec, burst int64) *rateBucket {
+	if burst <= 0 {
+		burst = ratePerSec
+	}
+	return &rateBucket{
+		eng:   eng,
+		rate:  ratePerSec,
+		burst: burst,
+		avail: burst * nanoTok,
+		last:  eng.Now(),
+	}
+}
+
+// refill accrues tokens for the time since the last accounting instant.
+func (b *rateBucket) refill() {
+	now := b.eng.Now()
+	el := int64(now.Sub(b.last))
+	b.last = now
+	if el <= 0 {
+		return
+	}
+	cap_ := b.burst * nanoTok
+	// Guard el*rate against overflow: if the elapsed time is enough to
+	// fill the bucket outright, clamp instead of multiplying.
+	if nsToFill := (cap_ - b.avail) / b.rate; el > nsToFill {
+		b.avail = cap_
+		return
+	}
+	b.avail += el * b.rate
+}
+
+// TryTake debits one token if it is available right now.
+func (b *rateBucket) TryTake() bool {
+	b.refill()
+	if b.avail < nanoTok {
+		return false
+	}
+	b.avail -= nanoTok
+	return true
 }
 
 // tenantState lazily builds tenant's admission state.
@@ -93,7 +151,7 @@ func (wp *WorkerPool) tenantState(tenant string) *tenantQoS {
 		if burst > 0 {
 			burst *= ts.weight
 		}
-		ts.bucket = kernel.NewTokenBucket(wp.eng(), q.ReqRate*ts.weight, burst)
+		ts.bucket = newRateBucket(wp.eng(), q.ReqRate*ts.weight, burst)
 	}
 	if wp.qosState == nil {
 		wp.qosState = make(map[string]*tenantQoS)
@@ -130,7 +188,7 @@ func (wp *WorkerPool) admitQoS(p *sim.Proc, req *Request) (func(), error) {
 		stats.Sheds++
 		return nil, ErrOverShare
 	}
-	if ts.bucket != nil && !ts.bucket.TryTake(1) {
+	if ts.bucket != nil && !ts.bucket.TryTake() {
 		wp.throttles++
 		stats.Throttles++
 		return nil, ErrThrottled

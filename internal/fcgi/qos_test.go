@@ -136,7 +136,9 @@ func TestQoSWeightScalesShare(t *testing.T) {
 
 // TestQoSRateThrottleTypedError pins the rate bucket: with a 1-token
 // bucket at 1 req/s, the second back-to-back request throttles with
-// ErrThrottled, and the allowance recovers with simulated time.
+// ErrThrottled, and the allowance recovers with simulated time — half a
+// second refills half a token (still throttled), a full second one whole
+// token, and a long idle gap never banks more than the burst.
 func TestQoSRateThrottleTypedError(t *testing.T) {
 	b := newBed()
 	pool := qosPool(b, 1, 4, 10*time.Microsecond, &QoSConfig{
@@ -145,19 +147,32 @@ func TestQoSRateThrottleTypedError(t *testing.T) {
 		ReqBurst: 1,
 	})
 
-	var second, third error
+	var second, third, halfway, refilled error
+	idleAdmitted := 0
 	b.eng.Go("tenant", func(p *sim.Proc) {
-		resp, err := pool.Do(p, Request{Params: []byte("1"), Tenant: "t"})
-		if err != nil {
+		do := func(params string) error {
+			resp, err := pool.Do(p, Request{Params: []byte(params), Tenant: "t"})
+			if err == nil {
+				resp.Release()
+			}
+			return err
+		}
+		if err := do("1"); err != nil {
 			t.Errorf("first request: %v", err)
 			return
 		}
-		resp.Release()
-		_, second = pool.Do(p, Request{Params: []byte("2"), Tenant: "t"})
+		second = do("2")
 		p.Sleep(1100 * sim.Millisecond) // one token refills
-		resp, third = pool.Do(p, Request{Params: []byte("3"), Tenant: "t"})
-		if third == nil {
-			resp.Release()
+		third = do("3")
+		p.Sleep(500 * sim.Millisecond)
+		halfway = do("4")
+		p.Sleep(500 * sim.Millisecond) // one second since the third took its token
+		refilled = do("5")
+		p.Sleep(10_000 * sim.Millisecond) // ten seconds of rate, one token of burst
+		for i := 0; i < 3; i++ {
+			if do("idle") == nil {
+				idleAdmitted++
+			}
 		}
 	})
 	b.eng.Run()
@@ -168,8 +183,17 @@ func TestQoSRateThrottleTypedError(t *testing.T) {
 	if third != nil {
 		t.Fatalf("request after refill window failed: %v", third)
 	}
-	if sheds, throttles := pool.Sheds(); sheds != 0 || throttles != 1 {
-		t.Fatalf("pool sheds=%d throttles=%d, want 0/1", sheds, throttles)
+	if !errors.Is(halfway, ErrThrottled) {
+		t.Fatalf("request half a second after a take got %v, want ErrThrottled", halfway)
+	}
+	if refilled != nil {
+		t.Fatalf("request one second after a take failed: %v", refilled)
+	}
+	if idleAdmitted != 1 {
+		t.Fatalf("%d back-to-back requests admitted after a 10 s idle gap, want the burst of 1", idleAdmitted)
+	}
+	if sheds, throttles := pool.Sheds(); sheds != 0 || throttles != 4 {
+		t.Fatalf("pool sheds=%d throttles=%d, want 0/4", sheds, throttles)
 	}
 }
 

@@ -115,22 +115,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge folds other into h. Bucket layouts are identical by
-// construction, so the merge is exact to bucket resolution.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // ResetMeters implements the Resetter seam: it empties the histogram.
 func (h *Histogram) ResetMeters() {
 	if h == nil {

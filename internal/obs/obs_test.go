@@ -74,33 +74,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if h.Max() != 0 || h.Quantile(1) != 0 {
 		t.Errorf("negative sample: max=%d q1=%d, want 0/0", h.Max(), h.Quantile(1))
 	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	samples := []int64{3, 70, 900, 12_000, 250_000, 1 << 21}
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i, v := range samples {
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		all.Observe(v)
-	}
-	a.Merge(b)
-	a.Merge(nil) // nil other is a no-op
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Mean() != all.Mean() {
-		t.Fatalf("merged count/max/mean = %d/%d/%f, want %d/%d/%f",
-			a.Count(), a.Max(), a.Mean(), all.Count(), all.Max(), all.Mean())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Errorf("Quantile(%v): merged %d != direct %d", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-	a.ResetMeters()
-	if a.Count() != 0 || a.Quantile(1) != 0 {
-		t.Errorf("after reset: count=%d q1=%d, want empty", a.Count(), a.Quantile(1))
+	h.ResetMeters()
+	if h.Count() != 0 || h.Quantile(1) != 0 {
+		t.Errorf("after reset: count=%d q1=%d, want empty", h.Count(), h.Quantile(1))
 	}
 }
 

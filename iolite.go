@@ -67,12 +67,6 @@ type (
 	Desc = kernel.Desc
 	// DescKind names a descriptor's flavor.
 	DescKind = kernel.DescKind
-	// LimitConfig configures a rate-limiting descriptor (bytes/sec,
-	// burst, optionally a shared TokenBucket).
-	LimitConfig = kernel.LimitConfig
-	// TokenBucket is a wheel-driven token bucket; share one across
-	// several LimitConfigs to enforce an aggregate tenant rate.
-	TokenBucket = kernel.TokenBucket
 )
 
 // Pipe modes.
@@ -100,9 +94,6 @@ var (
 	ErrClosed       = kernel.ErrClosed
 	ErrNotSupported = kernel.ErrNotSupported
 	ErrNotExist     = kernel.ErrNotExist
-	// ErrCorrupt reports a checksum-verifying descriptor whose stream did
-	// not match its expected checksum.
-	ErrCorrupt = kernel.ErrCorrupt
 )
 
 // PipeOf returns the pipe behind a pipe descriptor (for Stats).
@@ -114,31 +105,6 @@ func PipeOf(d Desc) (*Pipe, bool) { return kernel.PipeOf(d) }
 // from files, sockets, ref-mode pipes, and objects to sockets and pipes
 // entirely in-kernel, with zero copy charge.
 func (s *System) NewAggDesc(a *Agg) Desc { return kernel.NewAggDesc(s.Machine, a) }
-
-// NewCksumDesc wraps any descriptor with read-side integrity
-// verification: every byte read through it folds into a running Internet
-// checksum (charged through the checksum cache when data arrives as
-// sealed aggregates), and end of stream compares against want — a
-// mismatch surfaces as ErrCorrupt instead of a clean io.EOF.
-func (s *System) NewCksumDesc(inner Desc, want uint16) Desc {
-	return kernel.NewCksumDesc(s.Machine, inner, want)
-}
-
-// NewLimitDesc wraps any descriptor with a token-bucket byte-rate
-// limiter: reads, writes, and splices through it debit the bucket, and a
-// blocking caller over its allowance parks on the shared timer wheel
-// until tokens refill (nonblocking descriptors see ErrAgain and a poll
-// wakeup when the bucket turns solvent). Pass cfg.Bucket to share one
-// allowance across several descriptors of the same tenant.
-func (s *System) NewLimitDesc(inner Desc, cfg LimitConfig) Desc {
-	return kernel.NewLimitDesc(s.Machine, inner, cfg)
-}
-
-// NewTokenBucket builds a standalone bucket on the system's engine for
-// sharing across NewLimitDesc wrappers.
-func (s *System) NewTokenBucket(ratePerSec, burst int64) *TokenBucket {
-	return kernel.NewTokenBucket(s.Eng, ratePerSec, burst)
-}
 
 // SystemConfig sizes a simulated machine.
 type SystemConfig struct {
