@@ -12,45 +12,64 @@
 //	webbench -fig qos        # multi-tenant isolation under a heavy hitter
 //	webbench -fig all -quick # every figure, reduced point set
 //	webbench -fig proxy -trace t.json  # + Chrome trace-event export
+//
+// A figure's points are independent runs and execute on GOMAXPROCS
+// workers; GOMAXPROCS=1 runs them one at a time. The printed tables are
+// the same either way.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"iolite/internal/experiments"
 	"iolite/internal/obs"
 )
 
-var figures = map[string]func(experiments.Options) *experiments.Table{
-	"3":       experiments.Fig3,
-	"4":       experiments.Fig4,
-	"5":       experiments.Fig5,
-	"6":       experiments.Fig6,
-	"7":       experiments.Fig7,
-	"8":       experiments.Fig8,
-	"9":       experiments.Fig9,
-	"10":      experiments.Fig10,
-	"11":      experiments.Fig11,
-	"12":      experiments.Fig12,
-	"13":      experiments.Fig13,
-	"proxy":   experiments.FigProxy,
-	"fcgi":    experiments.FigFCGI,
-	"fcginet": experiments.FigFCGINet,
-	"chaos":   experiments.FigChaos,
-	"qos":     experiments.FigQoS,
+// figures lists every figure in the order -fig all runs them.
+var figures = []struct {
+	name string
+	fn   func(experiments.Options) *experiments.Table
+}{
+	{"3", experiments.Fig3},
+	{"4", experiments.Fig4},
+	{"5", experiments.Fig5},
+	{"6", experiments.Fig6},
+	{"7", experiments.Fig7},
+	{"8", experiments.Fig8},
+	{"9", experiments.Fig9},
+	{"10", experiments.Fig10},
+	{"11", experiments.Fig11},
+	{"12", experiments.Fig12},
+	{"13", experiments.Fig13},
+	{"proxy", experiments.FigProxy},
+	{"fcgi", experiments.FigFCGI},
+	{"fcginet", experiments.FigFCGINet},
+	{"chaos", experiments.FigChaos},
+	{"qos", experiments.FigQoS},
 }
 
-var figureOrder = []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "proxy", "fcgi", "fcginet", "chaos", "qos"}
-
 func main() {
-	fig := flag.String("fig", "all", "figure number (3-13), 'proxy', 'fcgi', 'fcginet', 'chaos', 'qos', or 'all'")
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	choices := strings.Join(names, ", ") + " or all"
+	fig := flag.String("fig", "all", "figure to regenerate: "+choices)
 	quick := flag.Bool("quick", false, "reduced point set and shorter windows")
 	verbose := flag.Bool("v", false, "progress output")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the run's request spans")
+	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of request spans; "+
+		"the collector is reset at every run's warmup, so it and the printed p50/p99 and phase totals "+
+		"cover only the last point's measure window, and traced figures run their points one at a time")
 	flag.Parse()
+	if *fig != "all" && !slices.Contains(names, *fig) {
+		fmt.Fprintf(os.Stderr, "webbench: unknown figure %q (want %s)\n", *fig, choices)
+		os.Exit(2)
+	}
 
 	opt := experiments.Options{Quick: *quick}
 	if *verbose {
@@ -60,19 +79,14 @@ func main() {
 		opt.Trace = obs.New()
 	}
 
-	names := figureOrder
-	if *fig != "all" {
-		if _, ok := figures[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "webbench: unknown figure %q (want 3-13, proxy, fcgi, fcginet, chaos, qos, or all)\n", *fig)
-			os.Exit(2)
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
 		}
-		names = []string{*fig}
-	}
-	for _, name := range names {
 		start := time.Now()
-		tbl := figures[name](opt)
+		tbl := f.fn(opt)
 		fmt.Println(tbl.Format())
-		fmt.Printf("(figure %s regenerated in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(figure %s regenerated in %v)\n\n", f.name, time.Since(start).Round(time.Millisecond))
 	}
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -90,6 +104,7 @@ func main() {
 				kind, opt.Trace.Quantile(kind, 0.50), opt.Trace.Quantile(kind, 0.99),
 				len(opt.Trace.Finished()))
 		}
+		fmt.Print(opt.Trace.Summary())
 		fmt.Printf("trace written to %s\n", *trace)
 	}
 }

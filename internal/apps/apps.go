@@ -9,6 +9,8 @@ package apps
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/ipcsim"
@@ -460,16 +462,19 @@ func GCC(m *kernel.Machine, v Variant, fileNames []string) GCCResult {
 
 // NewAppMachine builds a machine for application benchmarks and primes the
 // named files into the file cache (the paper's runs are warm: "the file is
-// in the file cache, so no physical I/O occurs").
+// in the file cache, so no physical I/O occurs"). Files are created and
+// primed in name order, so the machine, and every runtime measured on it,
+// is the same in every process.
 func NewAppMachine(files map[string]int64) *kernel.Machine {
 	eng := sim.New()
 	m := kernel.NewMachine(eng, sim.DefaultCosts(), kernel.Config{})
 	warm := m.NewProcess("warm", 1<<20)
-	for name, size := range files {
-		m.FS.Create(name, size)
+	names := slices.Sorted(maps.Keys(files))
+	for _, name := range names {
+		m.FS.Create(name, files[name])
 	}
 	eng.Go("warm", func(p *sim.Proc) {
-		for name := range files {
+		for _, name := range names {
 			fd := mustOpen(m, p, warm, name)
 			for {
 				a, err := m.IOLRead(p, warm, fd, chunkSize)
@@ -483,10 +488,4 @@ func NewAppMachine(files map[string]int64) *kernel.Machine {
 	})
 	eng.Run()
 	return m
-}
-
-// Sprint renders a Figure 13-style row.
-func Sprint(name string, unmod, iol sim.Duration) string {
-	return fmt.Sprintf("%-10s unmodified=%-12v io-lite=%-12v ratio=%.2f",
-		name, unmod, iol, float64(iol)/float64(unmod))
 }

@@ -1,10 +1,6 @@
 package apps
 
-import (
-	"testing"
-
-	"iolite/internal/sim"
-)
+import "testing"
 
 const testFile = "/data.txt"
 
@@ -99,12 +95,5 @@ func TestWCWarmCacheNoDisk(t *testing.T) {
 	reads := m.Disk.Stats().Reads
 	if reads != 0 {
 		t.Fatalf("wc on a warm file hit the disk %d times", reads)
-	}
-}
-
-func TestSprintFormat(t *testing.T) {
-	s := Sprint("wc", 10*sim.Duration(1e6), 6*sim.Duration(1e6))
-	if s == "" {
-		t.Fatal("empty row")
 	}
 }

@@ -69,9 +69,6 @@ func NewPool(vm *mem.VM, owner *mem.Domain, name string) *Pool {
 // Name returns the pool's diagnostic name.
 func (pl *Pool) Name() string { return pl.name }
 
-// Owner returns the producing domain of the pool.
-func (pl *Pool) Owner() *mem.Domain { return pl.owner }
-
 // VM returns the memory manager.
 func (pl *Pool) VM() *mem.VM { return pl.vm }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"iolite/internal/apps"
@@ -317,45 +318,23 @@ var chaosFigConfigs = []struct {
 // (p99, failed vs replayed, retransmit overhead, leak check) and the
 // proxy-tier origin-outage leg (stale-served vs failed requests).
 func FigChaos(opt Options) *Table {
-	t := &Table{
-		Title:  "Chaos: goodput under segment loss × worker kills × replay (kreq/s)",
-		XLabel: "loss %",
-	}
+	t := &Table{Title: "Chaos: goodput under segment loss × worker kills × replay (kreq/s)", XLabel: "loss %"}
 	for _, c := range chaosFigConfigs {
 		t.Columns = append(t.Columns, c.name)
 	}
-	warm, meas := 100*time.Millisecond, 500*time.Millisecond
-	if opt.Quick {
-		warm, meas = 50*time.Millisecond, 250*time.Millisecond
-	}
-	rates := []float64{0, 0.005, 0.01, 0.05}
-	if opt.Quick {
-		rates = []float64{0, 0.01}
-	}
-	notesAt := 0.01
-	for _, loss := range rates {
-		row := Row{Label: fmt.Sprintf("%.1f", loss*100)}
-		for _, c := range chaosFigConfigs {
-			r := RunChaos(ChaosParams{
-				LossProb:  loss,
-				KillEvery: c.killEvery,
-				Replay:    c.replay,
-				Offload:   c.offload,
-				Warmup:    warm,
-				Measure:   meas,
-				Obs:       opt.Trace,
-			})
-			opt.progress("FigChaos %s %s: %.1f kreq/s (p50 %.0fµs p99 %.2fms, failed %d, replays %d, retrans %.2f%%, leaks %d)",
-				c.name, r.Label, r.GoodputKReq, r.P50Us, r.P99Us/1e3, r.Failed, r.Replays, r.RetransPct*100, r.LeakPages)
-			row.Values = append(row.Values, r.GoodputKReq)
-			if loss == notesAt {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s @%s: p99 %.2fms, failed %d, replays %d, reroutes %d, respawns %d, retrans %.2f%% (%d segs), copied %.2f KB/req, leaked pages %d",
-					c.name, r.Label, r.P99Us/1e3, r.Failed, r.Replays, r.Reroutes, r.Respawns,
-					r.RetransPct*100, r.RetransSegs, r.CopiedKBPerReq, r.LeakPages))
-			}
-		}
-		t.Rows = append(t.Rows, row)
+	warm, meas := pick(opt, 100*time.Millisecond, 50*time.Millisecond), pick(opt, 500*time.Millisecond, 250*time.Millisecond)
+	rates := pick(opt, []float64{0, 0.005, 0.01, 0.05}, []float64{0, 0.01})
+	rows := labels(rates, func(loss float64) string { return fmt.Sprintf("%.1f", loss*100) })
+	res := sweep(opt, t, rows, func(r, c int) ChaosParams {
+		cfg := chaosFigConfigs[c]
+		return ChaosParams{LossProb: rates[r], KillEvery: cfg.killEvery, Replay: cfg.replay, Offload: cfg.offload,
+			Warmup: warm, Measure: meas, Obs: opt.Trace}
+	}, RunChaos, func(r ChaosResult) float64 { return r.GoodputKReq })
+	for c, r := range res[slices.Index(rates, 0.01)] {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"%s @%s: p99 %.2fms, failed %d, replays %d, reroutes %d, respawns %d, retrans %.2f%% (%d segs), copied %.2f KB/req, leaked pages %d",
+			chaosFigConfigs[c].name, r.Label, r.P99Us/1e3, r.Failed, r.Replays, r.Reroutes, r.Respawns,
+			r.RetransPct*100, r.RetransSegs, r.CopiedKBPerReq, r.LeakPages))
 	}
 	sres := RunStaleChaos()
 	t.Notes = append(t.Notes,

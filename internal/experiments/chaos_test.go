@@ -12,6 +12,7 @@ import (
 // (recovery must not re-charge payload copies), and holds goodput at ≥ 70%
 // of the fault-free baseline.
 func TestChaosAcceptance(t *testing.T) {
+	t.Parallel()
 	warm, meas := 100*time.Millisecond, 500*time.Millisecond
 	clean := RunChaos(ChaosParams{Warmup: warm, Measure: meas})
 	faulty := RunChaos(ChaosParams{
@@ -59,6 +60,7 @@ func TestChaosAcceptance(t *testing.T) {
 // without the replay policy must actually lose in-flight requests (the
 // failure replay exists to absorb).
 func TestChaosKillsWithoutReplayFail(t *testing.T) {
+	t.Parallel()
 	r := RunChaos(ChaosParams{
 		KillEvery: 10 * time.Millisecond,
 		Replay:    false,
@@ -79,6 +81,7 @@ func TestChaosKillsWithoutReplayFail(t *testing.T) {
 // TestStaleChaosLegDegrades pins the proxy leg: during the origin outage
 // the proxy serves expired entries instead of failing clients.
 func TestStaleChaosLegDegrades(t *testing.T) {
+	t.Parallel()
 	r := RunStaleChaos()
 	if r.StaleServed == 0 {
 		t.Errorf("no stale-served requests during the outage: %+v", r)
@@ -95,6 +98,7 @@ func TestStaleChaosLegDegrades(t *testing.T) {
 // re-charges payload copies of whole super-segments), and goodput within
 // 70% of the fault-free offload run.
 func TestChaosAcceptanceOffload(t *testing.T) {
+	t.Parallel()
 	warm, meas := 100*time.Millisecond, 500*time.Millisecond
 	clean := RunChaos(ChaosParams{Offload: true, Warmup: warm, Measure: meas})
 	faulty := RunChaos(ChaosParams{

@@ -27,6 +27,7 @@ func runSingle(sc ServerConfig, size int64, persistent bool) WebResult {
 }
 
 func TestSingleFileOrderingLargeFiles(t *testing.T) {
+	t.Parallel()
 	// Figure 3 at 100 KB: Flash-Lite > Flash > Apache, with Flash-Lite
 	// 38-43%+ over Flash and roughly 2x over Apache.
 	fl := runSingle(CfgFlashLite, 100<<10, false)
@@ -47,6 +48,7 @@ func TestSingleFileOrderingLargeFiles(t *testing.T) {
 }
 
 func TestSingleFileSmallSizesNearParity(t *testing.T) {
+	t.Parallel()
 	// §5.1: at ≤5 KB, control overheads dominate; Flash ≈ Flash-Lite.
 	fl := runSingle(CfgFlashLite, 2<<10, false)
 	f := runSingle(CfgFlash, 2<<10, false)
@@ -56,6 +58,7 @@ func TestSingleFileSmallSizesNearParity(t *testing.T) {
 }
 
 func TestPersistentConnectionsHelpSmallFiles(t *testing.T) {
+	t.Parallel()
 	// §5.2: keep-alive sharply raises small-file rates for Flash-Lite and
 	// Flash, while Apache's process model prevents it from benefiting much.
 	flNP := runSingle(CfgFlashLite, 5<<10, false)
@@ -73,6 +76,7 @@ func TestPersistentConnectionsHelpSmallFiles(t *testing.T) {
 }
 
 func TestCGIShapes(t *testing.T) {
+	t.Parallel()
 	// §5.3: Flash-Lite CGI ≈ 87% of its static bandwidth; Flash and Apache
 	// roughly halve; Flash-Lite CGI even beats Flash static.
 	size := int64(64 << 10)
@@ -98,6 +102,7 @@ func TestCGIShapes(t *testing.T) {
 }
 
 func TestTraceSweepShapes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("trace sweep skipped in -short")
 	}
@@ -111,6 +116,7 @@ func TestTraceSweepShapes(t *testing.T) {
 			Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 3,
 		})
 	}
+	var flSmall, flBig WebResult
 	for _, tc := range []struct {
 		name string
 		tr   *wload.Trace
@@ -122,6 +128,7 @@ func TestTraceSweepShapes(t *testing.T) {
 			t.Errorf("%s ordering: FL=%.0f F=%.0f A=%.0f", tc.name, fl.Mbps, f.Mbps, a.Mbps)
 		}
 		if tc.name == "in-memory-30MB" {
+			flSmall = fl
 			if r := fl.Mbps / f.Mbps; r < 1.2 {
 				t.Errorf("in-memory FL/F = %.2f, paper 1.34-1.50", r)
 			}
@@ -129,20 +136,20 @@ func TestTraceSweepShapes(t *testing.T) {
 				t.Errorf("30MB run disk-bound (util %.2f); should fit in memory", fl.DiskUtil)
 			}
 		} else {
+			flBig = fl
 			if r := fl.Mbps / f.Mbps; r < 1.15 {
 				t.Errorf("disk-bound FL/F = %.2f, paper 1.44-1.67", r)
 			}
 		}
 	}
 	// Decline with data set size.
-	flSmall := run(CfgFlashLite, small)
-	flBig := run(CfgFlashLite, base)
 	if flBig.Mbps >= flSmall.Mbps {
 		t.Errorf("no decline with data set size: 30MB=%.0f 150MB=%.0f", flSmall.Mbps, flBig.Mbps)
 	}
 }
 
 func TestGDSBeatsLRUDiskBound(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("policy ablation skipped in -short")
 	}
@@ -164,6 +171,7 @@ func TestGDSBeatsLRUDiskBound(t *testing.T) {
 }
 
 func TestChecksumCacheContribution(t *testing.T) {
+	t.Parallel()
 	// Figure 11: checksum caching is worth ~10-15% on in-memory workloads.
 	withCk := runSingle(ServerConfig{Kind: httpd.FlashLite}, 100<<10, false)
 	noCk := runSingle(ServerConfig{Kind: httpd.FlashLite, NoCksumCache: true}, 100<<10, false)
@@ -173,6 +181,7 @@ func TestChecksumCacheContribution(t *testing.T) {
 }
 
 func TestWANDelayShapes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("WAN sweep skipped in -short")
 	}
@@ -200,6 +209,7 @@ func TestWANDelayShapes(t *testing.T) {
 }
 
 func TestFig13Shapes(t *testing.T) {
+	t.Parallel()
 	tb := Fig13(Options{Quick: true})
 	check := func(app string, lo, hi float64) {
 		r, ok := tb.Value(app, "normalized")
@@ -217,6 +227,7 @@ func TestFig13Shapes(t *testing.T) {
 }
 
 func TestFig7Fig9Anchors(t *testing.T) {
+	t.Parallel()
 	t7 := Fig7(Options{Quick: true})
 	if len(t7.Rows) == 0 {
 		t.Fatal("empty Fig7 table")
@@ -233,6 +244,7 @@ func TestFig7Fig9Anchors(t *testing.T) {
 }
 
 func TestFig8TraceOrdering(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full-trace replay skipped in -short")
 	}

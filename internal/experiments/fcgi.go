@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"iolite/internal/fcgi"
@@ -227,22 +229,6 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 	return res
 }
 
-// fcgiFigPoints is the worker-count x-axis of the scaling figure.
-func fcgiFigPoints(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 4, 8}
-}
-
-// fcgiFigWindows is both fcgi figures' warmup and measure windows.
-func fcgiFigWindows(quick bool) (warm, meas time.Duration) {
-	if quick {
-		return 200 * time.Millisecond, 750 * time.Millisecond
-	}
-	return 300 * time.Millisecond, 1500 * time.Millisecond
-}
-
 // FigFCGI — worker-pool scaling over the fcgi subsystem on pipe pairs:
 // completed requests per second versus worker count, for copy- and
 // reference-mode records at mux depth 1 (one request per pipe pair at a
@@ -250,52 +236,21 @@ func fcgiFigWindows(quick bool) (warm, meas time.Duration) {
 // The notes quantify the charged copy work: ref mode's stays flat framing
 // bytes while copy mode's scales with every response byte moved.
 func FigFCGI(opt Options) *Table {
-	t := &Table{
-		Title:   "FCGI: worker-pool scaling, copy vs ref records (kreq/s)",
-		XLabel:  "workers",
-		Columns: []string{"copy d=1", "copy d=8", "ref d=1", "ref d=8"},
-	}
-	warm, meas := fcgiFigWindows(opt.Quick)
-	configs := []struct {
-		ref   bool
-		depth int
-	}{
-		{false, 1}, {false, 8}, {true, 1}, {true, 8},
-	}
-	for _, n := range fcgiFigPoints(opt.Quick) {
-		row := Row{Label: fmt.Sprintf("%d", n)}
-		for _, cfg := range configs {
-			r := RunFCGI(FCGIParams{
-				Workers: n,
-				Depth:   cfg.depth,
-				Ref:     cfg.ref,
-				Warmup:  warm,
-				Measure: meas,
-				Obs:     opt.Trace,
-			})
-			opt.progress("FigFCGI %s: %.1f kreq/s (copied %.1f MB, cpu %.2f, p50 %.0fµs p99 %.0fµs)",
-				r.Label, r.KReqPerSec, r.CopiedMB, r.CPUUtil, r.P50Us, r.P99Us)
-			row.Values = append(row.Values, r.KReqPerSec)
-			if n == 4 {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s: copied %.2f MB, cpu %.2f", r.Label, r.CopiedMB, r.CPUUtil))
-			}
-		}
-		t.Rows = append(t.Rows, row)
+	t := &Table{Title: "FCGI: worker-pool scaling, copy vs ref records (kreq/s)", XLabel: "workers",
+		Columns: []string{"copy d=1", "copy d=8", "ref d=1", "ref d=8"}}
+	warm, meas := pick(opt, 300*time.Millisecond, 200*time.Millisecond), pick(opt, 1500*time.Millisecond, 750*time.Millisecond)
+	points := pick(opt, []int{1, 2, 4, 8}, []int{1, 4})
+	res := sweep(opt, t, labels(points, strconv.Itoa), func(r, c int) FCGIParams { // columns: {copy, ref} × {d=1, d=8}
+		return FCGIParams{Workers: points[r], Depth: []int{1, 8}[c%2], Ref: c >= 2, Warmup: warm, Measure: meas, Obs: opt.Trace}
+	}, RunFCGI, func(r FCGIResult) float64 { return r.KReqPerSec })
+	for _, r := range res[slices.Index(points, 4)] {
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: copied %.2f MB, cpu %.2f", r.Label, r.CopiedMB, r.CPUUtil))
 	}
 	t.Notes = append(t.Notes,
 		"16KB docs, 400µs app wait, M = workers × depth closed-loop requesters",
 		"d=1 is the old one-request-per-worker pipe protocol; d=8 multiplexes 8 requests per pipe pair",
 		"ref-mode response payloads cross pipe and domain boundary by reference: copied MB is framing only")
 	return t
-}
-
-// fcgiNetFigPoints is the LAN-tax figure's worker-count x-axis.
-func fcgiNetFigPoints(quick bool) []int {
-	if quick {
-		return []int{2, 4}
-	}
-	return []int{1, 2, 4, 8}
 }
 
 // fcgiNetFigConfigs is the column set: every placement × payload mode,
@@ -326,69 +281,36 @@ var fcgiNetFigConfigs = []struct {
 // back out of the path — its kreq/s is the LAN tax minus the kernel-
 // crossing installment, closing most of the gap to the pipe figure.
 func FigFCGINet(opt Options) *Table {
-	t := &Table{
-		Title:  "FCGI-Net: worker placement, copy vs ref records (kreq/s) — the LAN tax",
-		XLabel: "workers",
-		Columns: []string{
-			"pipe copy", "pipe ref",
-			"sock-local copy", "sock-local ref", "sock-local ref ring",
-			"sock-local ref offl",
-			"sock-remote copy", "sock-remote ref",
-		},
+	t := &Table{Title: "FCGI-Net: worker placement, copy vs ref records (kreq/s) — the LAN tax", XLabel: "workers",
+		Columns: []string{"pipe copy", "pipe ref", "sock-local copy", "sock-local ref",
+			"sock-local ref ring", "sock-local ref offl", "sock-remote copy", "sock-remote ref"}}
+	warm, meas := pick(opt, 300*time.Millisecond, 200*time.Millisecond), pick(opt, 1500*time.Millisecond, 750*time.Millisecond)
+	points := pick(opt, []int{1, 2, 4, 8}, []int{2, 4})
+	res := sweep(opt, t, labels(points, strconv.Itoa), func(r, c int) FCGIParams {
+		cfg := fcgiNetFigConfigs[c]
+		return FCGIParams{Placement: cfg.placement, Workers: points[r], Ref: cfg.ref, Ring: cfg.ring, Offload: cfg.offload,
+			Warmup: warm, Measure: meas, Obs: opt.Trace}
+	}, RunFCGI, func(r FCGIResult) float64 { return r.KReqPerSec })
+	row := res[slices.Index(points, 4)]
+	for _, r := range row {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"%s: copied %.2f MB, cpu %.2f (worker machine %.2f), %.1f pkts/req, seg fill %.2f, %.1f sys/req",
+			r.Label, r.CopiedMB, r.CPUUtil, r.WorkerCPUUtil, r.PktsPerReq, r.SegFill, r.SyscallsPerReq))
 	}
-	warm, meas := fcgiFigWindows(opt.Quick)
-	points := fcgiNetFigPoints(opt.Quick)
-	notesAt := points[len(points)-1]
-	if len(points) > 2 {
-		notesAt = 4
+	// Columns 3-5: sock-local ref plain, with the ring, with offload.
+	localRef, localRing, localOffl := row[3], row[4], row[5]
+	if localRing.SyscallsPerReq > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"ring before/after (sock-local ref): %.1f → %.1f sys/req, %.1f → %.1f kreq/s",
+			localRef.SyscallsPerReq, localRing.SyscallsPerReq,
+			localRef.KReqPerSec, localRing.KReqPerSec))
 	}
-	for _, n := range points {
-		row := Row{Label: fmt.Sprintf("%d", n)}
-		var localRef, localRing, localOffl FCGIResult
-		for _, cfg := range fcgiNetFigConfigs {
-			r := RunFCGI(FCGIParams{
-				Placement: cfg.placement,
-				Workers:   n,
-				Ref:       cfg.ref,
-				Ring:      cfg.ring,
-				Offload:   cfg.offload,
-				Warmup:    warm,
-				Measure:   meas,
-				Obs:       opt.Trace,
-			})
-			opt.progress("FigFCGINet %s: %.1f kreq/s (copied %.1f MB, cpu %.2f/%.2f, %.1f pkts/req, %.1f acks/req, fill %.2f, %.1f sys/req, p50 %.0fµs p99 %.0fµs)",
-				r.Label, r.KReqPerSec, r.CopiedMB, r.CPUUtil, r.WorkerCPUUtil, r.PktsPerReq, r.AcksPerReq, r.SegFill, r.SyscallsPerReq, r.P50Us, r.P99Us)
-			row.Values = append(row.Values, r.KReqPerSec)
-			if cfg.placement == PlaceSockLocal && cfg.ref {
-				switch {
-				case cfg.ring:
-					localRing = r
-				case cfg.offload:
-					localOffl = r
-				default:
-					localRef = r
-				}
-			}
-			if n == notesAt {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s: copied %.2f MB, cpu %.2f (worker machine %.2f), %.1f pkts/req, seg fill %.2f, %.1f sys/req",
-					r.Label, r.CopiedMB, r.CPUUtil, r.WorkerCPUUtil, r.PktsPerReq, r.SegFill, r.SyscallsPerReq))
-			}
-		}
-		if n == notesAt && localRing.SyscallsPerReq > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"ring before/after (sock-local ref): %.1f → %.1f sys/req, %.1f → %.1f kreq/s",
-				localRef.SyscallsPerReq, localRing.SyscallsPerReq,
-				localRef.KReqPerSec, localRing.KReqPerSec))
-		}
-		if n == notesAt && localOffl.Requests > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"offload before/after (sock-local ref): %.1f → %.1f pkts/req, %.1f → %.1f acks/req, %.1f → %.1f kreq/s",
-				localRef.PktsPerReq, localOffl.PktsPerReq,
-				localRef.AcksPerReq, localOffl.AcksPerReq,
-				localRef.KReqPerSec, localOffl.KReqPerSec))
-		}
-		t.Rows = append(t.Rows, row)
+	if localOffl.Requests > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"offload before/after (sock-local ref): %.1f → %.1f pkts/req, %.1f → %.1f acks/req, %.1f → %.1f kreq/s",
+			localRef.PktsPerReq, localOffl.PktsPerReq,
+			localRef.AcksPerReq, localOffl.AcksPerReq,
+			localRef.KReqPerSec, localOffl.KReqPerSec))
 	}
 	t.Notes = append(t.Notes,
 		"16KB docs, 400µs app wait, depth 8, M = workers × depth closed-loop requesters",

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -18,6 +20,7 @@ func fcgiQuick(fp FCGIParams) FCGIResult {
 // CPU, and the charged copy work separates the modes by orders of
 // magnitude.
 func TestFCGIScalingShapes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run scaling study")
 	}
@@ -56,12 +59,20 @@ func TestFCGIScalingShapes(t *testing.T) {
 	}
 }
 
-// TestFigFCGITable checks the figure assembles with the right axes.
+// TestFigFCGITable checks the figure assembles with the right axes, and
+// that sweep fills it in point order: the figure run on one worker and on
+// four gives equal tables, though four workers finish the points out of
+// order. It sets GOMAXPROCS, so it must not run in parallel.
 func TestFigFCGITable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tbl := FigFCGI(Options{Quick: true})
+	runtime.GOMAXPROCS(4)
+	if par := FigFCGI(Options{Quick: true}); !reflect.DeepEqual(par, tbl) {
+		t.Fatalf("4-worker table differs from the serial one:\n%s\nserial:\n%s", par.Format(), tbl.Format())
+	}
 	if len(tbl.Rows) != 2 || len(tbl.Columns) != 4 {
 		t.Fatalf("table %dx%d, want 2 rows x 4 cols", len(tbl.Rows), len(tbl.Columns))
 	}
@@ -90,6 +101,7 @@ func TestFigFCGITable(t *testing.T) {
 // exactly the payload volume once it crosses to a remote machine, and
 // copy mode at least twice that everywhere.
 func TestFCGINetLANTaxShapes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run transport study")
 	}
@@ -144,6 +156,7 @@ func TestFCGINetLANTaxShapes(t *testing.T) {
 // saved kernel crossings show up as throughput — sock-local ref kreq/s
 // moves toward the pipe placement's figure.
 func TestAcceptanceRingClosesSyscallGap(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run acceptance study")
 	}
@@ -182,6 +195,7 @@ func TestAcceptanceRingClosesSyscallGap(t *testing.T) {
 // TestFigFCGINetTable checks the figure assembles with the right axes:
 // every placement × mode at ≥2 worker counts, all serving.
 func TestFigFCGINetTable(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full figure")
 	}
@@ -207,6 +221,7 @@ func TestFigFCGINetTable(t *testing.T) {
 // most 55% of the offload-off baseline, the same MSS-granular chunks
 // still cross the wire, and the tail does not regress.
 func TestAcceptanceOffloadClosesProtocolGap(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run acceptance study")
 	}

@@ -28,7 +28,6 @@ func Fig13(opt Options) *Table {
 
 	ms := func(d sim.Duration) float64 { return float64(d) / 1e6 }
 	addRow := func(name string, unmod, iol sim.Duration) {
-		opt.progress("Fig13 %s", apps.Sprint(name, unmod, iol))
 		t.Rows = append(t.Rows, Row{
 			Label:  name,
 			Values: []float64{ms(unmod), ms(iol), float64(iol) / float64(unmod)},

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iolite/internal/httpd"
@@ -14,7 +16,8 @@ import (
 // shorter windows — the shapes survive; the absolute noise grows slightly.
 type Options struct {
 	Quick bool
-	// Verbose receives progress lines (may be nil).
+	// Progress receives one line per finished sweep point (may be nil).
+	// It is called from the figure's own goroutine.
 	Progress func(string)
 	// Trace, when set, turns on request-lifecycle tracing: every figure
 	// run attaches this collector, and the caller exports it (webbench
@@ -22,69 +25,121 @@ type Options struct {
 	Trace *obs.Collector
 }
 
-func (o Options) progress(format string, args ...interface{}) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
+// pick returns a figure's quick-mode value under opt.Quick, else its full one.
+func pick[T any](opt Options, full, quick T) T {
+	if opt.Quick {
+		return quick
 	}
+	return full
 }
 
-// singleFileSizes is Figure 3/4's x-axis: "the data points below 20KB are
-// 500 bytes, 1KB, 2KB, 3KB, 5KB, 7KB, 10KB, and 15KB", then up to 200 KB.
-func singleFileSizes(quick bool) []int64 {
-	if quick {
-		return []int64{500, 5 << 10, 20 << 10, 100 << 10, 200 << 10}
+// sweep runs a figure's grid of independent points — point (r, c) is
+// run(at(r, c)), for row label rows[r] and column t.Columns[c] — on
+// min(GOMAXPROCS, points) workers, each point in its own world. It fills
+// t.Rows with value of each result in point order, whatever order the
+// points finish in, and returns the result grid for the figure's notes.
+// A trace collector binds one engine at a time and is reset at every
+// world's warmup, so a traced sweep runs its points one at a time.
+func sweep[P, R any](opt Options, t *Table, rows []string, at func(r, c int) P, run func(P) R, value func(R) float64) [][]R {
+	cols := len(t.Columns)
+	n := len(rows) * cols
+	res := make([][]R, len(rows))
+	for r := range res {
+		res[r] = make([]R, cols)
 	}
-	return []int64{500, 1 << 10, 2 << 10, 3 << 10, 5 << 10, 7 << 10, 10 << 10,
-		15 << 10, 20 << 10, 50 << 10, 100 << 10, 150 << 10, 200 << 10}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if opt.Trace != nil {
+		workers = 1
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	done := make(chan int)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				res[i/cols][i%cols] = run(at(i/cols, i%cols))
+				done <- i
+			}
+		}()
+	}
+	for range n {
+		i := <-done
+		if opt.Progress != nil {
+			r, c := i/cols, i%cols
+			opt.Progress(fmt.Sprintf("%s %s %s: %+v", t.Title, rows[r], t.Columns[c], res[r][c]))
+		}
+	}
+	wg.Wait()
+	for r, label := range rows {
+		row := Row{Label: label}
+		for _, v := range res[r] {
+			row.Values = append(row.Values, value(v))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return res
 }
 
-func sizeLabel(n int64) string {
-	if n < 1024 {
-		return fmt.Sprintf("%dB", n)
+// labels renders one row label per x-axis point.
+func labels[T any](xs []T, label func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = label(x)
 	}
-	return fmt.Sprintf("%dKB", n>>10)
+	return out
 }
 
-// webServers is the standard three-way comparison.
-var webServers = []ServerConfig{CfgFlashLite, CfgFlash, CfgApache}
+// webServers is the standard three-way comparison, and webColumns its
+// column labels.
+var (
+	webServers = []ServerConfig{CfgFlashLite, CfgFlash, CfgApache}
+	webColumns = []string{"Flash-Lite", "Flash", "Apache"}
+)
+
+// webFigure sweeps RunWeb over rows × server configurations: at(r) is row
+// r's workload, to which each column adds its configuration. The cells are
+// aggregate client bandwidth in Mb/s.
+func webFigure(opt Options, t *Table, rows []string, configs []ServerConfig, at func(r int) WebParams) *Table {
+	sweep(opt, t, rows, func(r, c int) WebParams {
+		wp := at(r)
+		wp.Server, wp.Obs = configs[c], opt.Trace
+		return wp
+	}, RunWeb, func(r WebResult) float64 { return r.Mbps })
+	return t
+}
 
 // singleFileFigure runs the Figure 3/4/5/6 family: 40 clients requesting
-// one document of varying size.
+// one document of varying size. The x-axis is the paper's: "the data
+// points below 20KB are 500 bytes, 1KB, 2KB, 3KB, 5KB, 7KB, 10KB, and
+// 15KB", then up to 200 KB.
 func singleFileFigure(title string, cgi, persistent bool, opt Options) *Table {
 	t := &Table{
 		Title:   title,
 		XLabel:  "doc size",
-		Columns: []string{"Flash-Lite", "Flash", "Apache"},
+		Columns: webColumns,
+		Notes:   []string{"values are aggregate client bandwidth in Mb/s; 40 clients, 5 machines, 5x100 Mb/s"},
 	}
-	warm, meas := 1*time.Second, 4*time.Second
-	if opt.Quick {
-		warm, meas = 500*time.Millisecond, 2*time.Second
-	}
-	for _, size := range singleFileSizes(opt.Quick) {
-		row := Row{Label: sizeLabel(size)}
-		for _, sc := range webServers {
-			wp := WebParams{
-				Server:     sc,
-				Clients:    40,
-				Persistent: persistent,
-				Warmup:     warm,
-				Measure:    meas,
-				Seed:       1,
-				Obs:        opt.Trace,
-			}
-			if cgi {
-				wp.CGISize = size
-			} else {
-				wp.SingleFileSize = size
-			}
-			r := RunWeb(wp)
-			opt.progress("%s %s %s: %.1f Mb/s (%d reqs)", title, row.Label, sc.Label(), r.Mbps, r.Requests)
-			row.Values = append(row.Values, r.Mbps)
+	sizes := pick(opt, []int64{500, 1 << 10, 2 << 10, 3 << 10, 5 << 10, 7 << 10, 10 << 10,
+		15 << 10, 20 << 10, 50 << 10, 100 << 10, 150 << 10, 200 << 10},
+		[]int64{500, 5 << 10, 20 << 10, 100 << 10, 200 << 10})
+	warm, meas := pick(opt, 1*time.Second, 500*time.Millisecond), pick(opt, 4*time.Second, 2*time.Second)
+	rows := labels(sizes, func(n int64) string {
+		if n < 1024 {
+			return fmt.Sprintf("%dB", n)
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, "values are aggregate client bandwidth in Mb/s; 40 clients, 5 machines, 5x100 Mb/s")
-	return t
+		return fmt.Sprintf("%dKB", n>>10)
+	})
+	return webFigure(opt, t, rows, webServers, func(r int) WebParams {
+		wp := WebParams{Clients: 40, Persistent: persistent, Warmup: warm, Measure: meas, Seed: 1}
+		if cgi {
+			wp.CGISize = sizes[r]
+		} else {
+			wp.SingleFileSize = sizes[r]
+		}
+		return wp
+	})
 }
 
 // Fig3 — HTTP single-file test, nonpersistent connections (§5.1).
@@ -111,25 +166,17 @@ func Fig6(opt Options) *Table {
 // by file popularity rank for ECE, CS and MERGED (§5.4).
 func Fig7(opt Options) *Table {
 	t := &Table{
-		Title:  "Figure 7: trace characteristics (cumulative fractions at popularity ranks)",
-		XLabel: "trace/rank",
-		Columns: []string{
-			"req frac", "size frac",
-		},
+		Title:   "Figure 7: trace characteristics (cumulative fractions at popularity ranks)",
+		XLabel:  "trace/rank",
+		Columns: []string{"req frac", "size frac"},
 	}
 	for _, spec := range []wload.TraceSpec{wload.ECE, wload.CS, wload.MERGED} {
-		tr := wload.Generate(spec)
-		opt.progress("Fig7 %s: %d files, %d MB, mean req %d KB",
-			spec.Name, spec.Files, spec.TotalBytes>>20, tr.MeanRequestBytes()>>10)
+		tr := traceFor(spec)
 		for _, rank := range []int{1000, 5000, 10000, 20000, spec.Files} {
-			if rank > spec.Files {
-				continue
+			if rank <= spec.Files {
+				rf, sf := tr.FracAtRank(rank)
+				t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%s@%d", spec.Name, rank), Values: []float64{rf, sf}})
 			}
-			rf, sf := tr.FracAtRank(rank)
-			t.Rows = append(t.Rows, Row{
-				Label:  fmt.Sprintf("%s@%d", spec.Name, rank),
-				Values: []float64{rf, sf},
-			})
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -138,141 +185,58 @@ func Fig7(opt Options) *Table {
 	return t
 }
 
-// traceFor caches generated traces (generation is deterministic but costs a
-// second or two for the big logs). The mutex lets concurrent runs share it.
-var (
-	traceMu    sync.Mutex
-	traceCache = map[string]*wload.Trace{}
-)
+// traceCache maps a trace name to its generator, run once per process:
+// generation is deterministic but costs a second or two for the big logs.
+// Concurrent runs of one trace wait for its one generation, and no other.
+var traceCache sync.Map
 
 func traceFor(spec wload.TraceSpec) *wload.Trace {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if tr, ok := traceCache[spec.Name]; ok {
-		return tr
-	}
-	tr := wload.Generate(spec)
-	traceCache[spec.Name] = tr
-	return tr
+	gen, _ := traceCache.LoadOrStore(spec.Name, sync.OnceValue(func() *wload.Trace { return wload.Generate(spec) }))
+	return gen.(func() *wload.Trace)()
 }
 
 // Fig8 — overall trace performance: 64 clients replaying each full trace
 // against each server (§5.4).
 func Fig8(opt Options) *Table {
-	t := &Table{
-		Title:   "Figure 8: overall trace performance (Mb/s)",
-		XLabel:  "trace",
-		Columns: []string{"Flash-Lite", "Flash", "Apache"},
-	}
-	specs := []wload.TraceSpec{wload.ECE, wload.CS, wload.MERGED}
-	if opt.Quick {
-		specs = []wload.TraceSpec{wload.ECE, wload.MERGED}
-	}
-	warm, meas := 6*time.Second, 12*time.Second
-	if opt.Quick {
-		warm, meas = 3*time.Second, 6*time.Second
-	}
-	for _, spec := range specs {
-		tr := traceFor(spec)
-		row := Row{Label: spec.Name}
-		for _, sc := range webServers {
-			r := RunWeb(WebParams{
-				Server:     sc,
-				Clients:    64,
-				Persistent: false,
-				Trace:      tr,
-				Warmup:     warm,
-				Measure:    meas,
-				Seed:       2,
-				Obs:        opt.Trace,
-			})
-			opt.progress("Fig8 %s %s: %.1f Mb/s (hit %.2f disk %.2f)", spec.Name, sc.Label(), r.Mbps, r.HitRate, r.DiskUtil)
-			row.Values = append(row.Values, r.Mbps)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	t := &Table{Title: "Figure 8: overall trace performance (Mb/s)", XLabel: "trace", Columns: webColumns}
+	specs := pick(opt, []wload.TraceSpec{wload.ECE, wload.CS, wload.MERGED}, []wload.TraceSpec{wload.ECE, wload.MERGED})
+	warm, meas := pick(opt, 6*time.Second, 3*time.Second), pick(opt, 12*time.Second, 6*time.Second)
+	rows := labels(specs, func(s wload.TraceSpec) string { return s.Name })
+	return webFigure(opt, t, rows, webServers, func(r int) WebParams {
+		return WebParams{Clients: 64, Trace: traceFor(specs[r]), Warmup: warm, Measure: meas, Seed: 2}
+	})
 }
 
 // Fig9 — 150 MB subtrace characteristics (§5.5).
 func Fig9(opt Options) *Table {
 	tr := traceFor(wload.Subtrace150)
-	t := &Table{
-		Title:   "Figure 9: 150MB subtrace characteristics",
-		XLabel:  "rank",
-		Columns: []string{"req frac", "size frac"},
-	}
+	t := &Table{Title: "Figure 9: 150MB subtrace characteristics", XLabel: "rank", Columns: []string{"req frac", "size frac"}}
 	for _, rank := range []int{100, 500, 1000, 2000, 5459} {
 		rf, sf := tr.FracAtRank(rank)
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%d", rank), Values: []float64{rf, sf}})
 	}
 	t.Notes = append(t.Notes, "paper anchor: top 1000 files = 74% of requests / 20% of 150MB",
 		fmt.Sprintf("generated mean request size: %d KB", tr.MeanRequestBytes()>>10))
-	opt.progress("Fig9 generated: %d files, %d MB", tr.Spec.Files, tr.DataBytes()>>20)
 	return t
-}
-
-// subtraceSizes is Figure 10/11's x-axis of data-set sizes.
-func subtraceSizes(quick bool) []int64 {
-	if quick {
-		return []int64{30 << 20, 90 << 20, 150 << 20}
-	}
-	return []int64{15 << 20, 30 << 20, 60 << 20, 90 << 20, 120 << 20, 150 << 20}
-}
-
-// runSubtrace runs one server config across the data-set sweep.
-func runSubtrace(sc ServerConfig, sizes []int64, warm, meas time.Duration, opt Options) []float64 {
-	base := traceFor(wload.Subtrace150)
-	out := make([]float64, 0, len(sizes))
-	for _, ds := range sizes {
-		tr := base
-		if ds < base.DataBytes() {
-			tr = base.Prefix(ds)
-		}
-		r := RunWeb(WebParams{
-			Server:     sc,
-			Clients:    64,
-			Persistent: false,
-			Trace:      tr,
-			Warmup:     warm,
-			Measure:    meas,
-			Seed:       3,
-			Obs:        opt.Trace,
-		})
-		opt.progress("subtrace %dMB %s: %.1f Mb/s (hit %.2f disk %.2f cpu %.2f)",
-			ds>>20, sc.Label(), r.Mbps, r.HitRate, r.DiskUtil, r.CPUUtil)
-		out = append(out, r.Mbps)
-	}
-	return out
 }
 
 // subtraceFigure runs each server configuration across the data-set
-// sweep, one column per configuration (Figures 10 and 11).
+// sweep of Figures 10 and 11, one column per configuration.
 func subtraceFigure(title string, configs []ServerConfig, columns []string, opt Options) *Table {
 	t := &Table{Title: title, XLabel: "data set", Columns: columns}
-	sizes := subtraceSizes(opt.Quick)
-	warm, meas := 5*time.Second, 10*time.Second
-	if opt.Quick {
-		warm, meas = 3*time.Second, 5*time.Second
-	}
-	cols := make([][]float64, len(configs))
-	for i, sc := range configs {
-		cols[i] = runSubtrace(sc, sizes, warm, meas, opt)
-	}
-	for si, ds := range sizes {
-		row := Row{Label: fmt.Sprintf("%dMB", ds>>20)}
-		for i := range configs {
-			row.Values = append(row.Values, cols[i][si])
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	sizes := pick(opt, []int64{15 << 20, 30 << 20, 60 << 20, 90 << 20, 120 << 20, 150 << 20},
+		[]int64{30 << 20, 90 << 20, 150 << 20})
+	warm, meas := pick(opt, 5*time.Second, 3*time.Second), pick(opt, 10*time.Second, 5*time.Second)
+	rows := labels(sizes, func(ds int64) string { return fmt.Sprintf("%dMB", ds>>20) })
+	return webFigure(opt, t, rows, configs, func(r int) WebParams {
+		tr := traceFor(wload.Subtrace150).Prefix(sizes[r])
+		return WebParams{Clients: 64, Trace: tr, Warmup: warm, Measure: meas, Seed: 3}
+	})
 }
 
 // Fig10 — MERGED subtrace performance vs data set size (§5.5).
 func Fig10(opt Options) *Table {
-	return subtraceFigure("Figure 10: MERGED subtrace performance (Mb/s)",
-		webServers, []string{"Flash-Lite", "Flash", "Apache"}, opt)
+	return subtraceFigure("Figure 10: MERGED subtrace performance (Mb/s)", webServers, webColumns, opt)
 }
 
 // Fig11 — optimization contributions: Flash-Lite with {GDS, LRU} × {cksum
@@ -289,56 +253,27 @@ func Fig11(opt Options) *Table {
 		[]string{"FlashLite", "FlashLite LRU", "FlashLite no-ck", "FlashLite LRU no-ck", "Flash"}, opt)
 }
 
+type fig12Point struct{ rttMs, clients int }
+
 // fig12Points are Figure 12's x-axis: the round-trip WAN delay, with the
 // client population scaled linearly 64→900 to keep the server saturated
 // (§5.7). Delay here is one-way (the paper quotes round trip).
-var fig12Points = []struct {
-	rttMs   int
-	clients int
-}{
-	{0, 64}, {5, 92}, {50, 343}, {100, 620}, {150, 900},
-}
+var fig12Points = []fig12Point{{0, 64}, {5, 92}, {50, 343}, {100, 620}, {150, 900}}
 
 // Fig12 — throughput versus WAN delay with a 120 MB data set (§5.7).
 func Fig12(opt Options) *Table {
-	t := &Table{
-		Title:   "Figure 12: throughput vs WAN delay, 120MB data set (Mb/s)",
-		XLabel:  "RTT delay",
-		Columns: []string{"Flash-Lite", "Flash", "Apache"},
-	}
-	base := traceFor(wload.Subtrace150)
-	tr := base.Prefix(120 << 20)
-	points := fig12Points
-	if opt.Quick {
-		points = points[:0]
-		points = append(points, fig12Points[0], fig12Points[2], fig12Points[4])
-	}
-	warm, meas := 6*time.Second, 10*time.Second
-	if opt.Quick {
-		warm, meas = 4*time.Second, 6*time.Second
-	}
-	for _, pt := range points {
-		label := "LAN"
-		if pt.rttMs > 0 {
-			label = fmt.Sprintf("%dms", pt.rttMs)
+	t := &Table{Title: "Figure 12: throughput vs WAN delay, 120MB data set (Mb/s)", XLabel: "RTT delay", Columns: webColumns}
+	tr := traceFor(wload.Subtrace150).Prefix(120 << 20)
+	points := pick(opt, fig12Points, []fig12Point{fig12Points[0], fig12Points[2], fig12Points[4]})
+	warm, meas := pick(opt, 6*time.Second, 4*time.Second), pick(opt, 10*time.Second, 6*time.Second)
+	rows := labels(points, func(pt fig12Point) string {
+		if pt.rttMs == 0 {
+			return "LAN"
 		}
-		row := Row{Label: label}
-		for _, sc := range webServers {
-			r := RunWeb(WebParams{
-				Server:     sc,
-				Clients:    pt.clients,
-				Persistent: false,
-				Delay:      time.Duration(pt.rttMs) * time.Millisecond / 2,
-				Trace:      tr,
-				Warmup:     warm,
-				Measure:    meas,
-				Seed:       4,
-				Obs:        opt.Trace,
-			})
-			opt.progress("Fig12 %s %s (%d clients): %.1f Mb/s (hit %.2f)", label, sc.Label(), pt.clients, r.Mbps, r.HitRate)
-			row.Values = append(row.Values, r.Mbps)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+		return fmt.Sprintf("%dms", pt.rttMs)
+	})
+	return webFigure(opt, t, rows, webServers, func(r int) WebParams {
+		delay := time.Duration(points[r].rttMs) * time.Millisecond / 2
+		return WebParams{Clients: points[r].clients, Delay: delay, Trace: tr, Warmup: warm, Measure: meas, Seed: 4}
+	})
 }

@@ -148,6 +148,7 @@ func checkGolden(t *testing.T, name string, v interface{}) {
 // runs are parallel subtests: each owns its world, so concurrent runs
 // must give the serial results (and, under -race, share no state).
 func TestGoldenResults(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("golden runs")
 	}

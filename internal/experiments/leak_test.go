@@ -10,7 +10,8 @@ import (
 
 // TestRunnersLeaveNoGoroutines is the teardown gate: every runner closes
 // its engine before it returns, so no proc of the simulated world (an
-// event loop parked in Wait, a mux reader, a worker) survives the call.
+// event loop parked in Wait, a mux reader, a worker) survives the call,
+// and a figure's sweep workers have exited when the figure returns.
 func TestRunnersLeaveNoGoroutines(t *testing.T) {
 	const warm, measure = 20 * time.Millisecond, 50 * time.Millisecond
 	runs := []struct {
@@ -33,6 +34,7 @@ func TestRunnersLeaveNoGoroutines(t *testing.T) {
 			RunQoS(QoSParams{Tenants: 10, Aggressor: true, QoS: true, Warmup: warm, Measure: measure})
 		}},
 		{"RunStaleChaos", func() { RunStaleChaos() }},
+		{"FigChaos", func() { FigChaos(Options{Quick: true}) }},
 	}
 	for _, r := range runs {
 		before := runtime.NumGoroutine()

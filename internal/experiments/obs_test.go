@@ -33,6 +33,7 @@ func requireTiling(t *testing.T, col *obs.Collector) {
 // completed request's phases tile its latency, retransmit stalls appear
 // as a distinct phase, and the per-kind p99 is reported.
 func TestChaosTraceAcceptance(t *testing.T) {
+	t.Parallel()
 	col := obs.New()
 	r := RunChaos(ChaosParams{
 		LossProb:  0.02,
@@ -71,6 +72,7 @@ func TestChaosTraceAcceptance(t *testing.T) {
 // experiment level: on sock-remote the client span carries the worker
 // machine's service interval and worker-binned charges.
 func TestFCGINetRemoteWorkerTrace(t *testing.T) {
+	t.Parallel()
 	col := obs.New()
 	r := RunFCGI(FCGIParams{
 		Placement: PlaceSockRemote,
@@ -118,6 +120,7 @@ func TestFCGINetRemoteWorkerTrace(t *testing.T) {
 // TestWebAndProxyTraceKinds runs one httpd and one proxy topology with
 // tracing on: spans land under the right kind names with sane phases.
 func TestWebAndProxyTraceKinds(t *testing.T) {
+	t.Parallel()
 	col := obs.New()
 	wr := RunWeb(WebParams{
 		Server:         ServerConfig{Kind: httpd.FlashLite},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"iolite/internal/apps"
@@ -220,41 +221,20 @@ var proxyKinds = []ServerConfig{CfgFlashLite, CfgFlashLiteSplice, CfgFlash, CfgA
 // proxy's checksum-cache hit rate (all requests after the cold pass are
 // cache hits, so the proxy tier's data path dominates).
 func FigProxy(opt Options) *Table {
-	t := &Table{
-		Title:   "Proxy: zero-copy caching reverse proxy vs copying proxy (Mb/s)",
-		XLabel:  "origin server",
-		Columns: []string{"direct", "proxy-copy", "proxy-zc", "proxy-splice", "proxy-zc offl"},
-	}
-	warm, meas := 1*time.Second, 3*time.Second
-	if opt.Quick {
-		warm, meas = 500*time.Millisecond, 1500*time.Millisecond
-	}
-	modes := []apps.ProxyMode{apps.ProxyCopy, apps.ProxyZeroCopy, apps.ProxySplice}
-	for _, sc := range proxyKinds {
-		row := Row{Label: sc.Label()}
-		direct := RunProxy(ProxyParams{
-			Origin: sc, Direct: true, Warmup: warm, Measure: meas, Seed: 7, Obs: opt.Trace,
-		})
-		opt.progress("FigProxy %s: %.1f Mb/s (copied %.1f MB)", direct.Label, direct.Mbps, direct.CopiedMB)
-		row.Values = append(row.Values, direct.Mbps)
-		runOne := func(mode apps.ProxyMode, offload bool) {
-			r := RunProxy(ProxyParams{
-				Origin: sc, Mode: mode, Offload: offload, Warmup: warm, Measure: meas, Seed: 7, Obs: opt.Trace,
-			})
-			opt.progress("FigProxy %s: %.1f Mb/s (hit %.2f, copied %.1f MB, ck-hit %.2f, %.1f pkts/req, %.1f acks/req, fill %.2f, %.1f sys/req, p50 %.0fµs p99 %.0fµs)",
-				r.Label, r.Mbps, r.HitRate, r.CopiedMB, r.CksumHitRate, r.PktsPerReq, r.AcksPerReq, r.SegFill, r.SyscallsPerReq, r.P50Us, r.P99Us)
-			row.Values = append(row.Values, r.Mbps)
-			if sc.Kind == httpd.FlashLite {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s: copied %.1f MB, proxy cksum-cache hit rate %.2f, proxy hit rate %.2f, %.1f pkts/req, %.1f acks/req, seg fill %.2f, %.1f sys/req",
-					r.Label, r.CopiedMB, r.CksumHitRate, r.HitRate, r.PktsPerReq, r.AcksPerReq, r.SegFill, r.SyscallsPerReq))
-			}
-		}
-		for _, mode := range modes {
-			runOne(mode, false)
-		}
-		runOne(apps.ProxyZeroCopy, true)
-		t.Rows = append(t.Rows, row)
+	t := &Table{Title: "Proxy: zero-copy caching reverse proxy vs copying proxy (Mb/s)", XLabel: "origin server",
+		Columns: []string{"direct", "proxy-copy", "proxy-zc", "proxy-splice", "proxy-zc offl"}}
+	warm, meas := pick(opt, 1*time.Second, 500*time.Millisecond), pick(opt, 3*time.Second, 1500*time.Millisecond)
+	// Column 0 serves the origin directly (its mode is unused); the last
+	// column adds segment offload.
+	modes := []apps.ProxyMode{0, apps.ProxyCopy, apps.ProxyZeroCopy, apps.ProxySplice, apps.ProxyZeroCopy}
+	res := sweep(opt, t, labels(proxyKinds, ServerConfig.Label), func(r, c int) ProxyParams {
+		return ProxyParams{Origin: proxyKinds[r], Direct: c == 0, Mode: modes[c], Offload: c == len(modes)-1,
+			Warmup: warm, Measure: meas, Seed: 7, Obs: opt.Trace}
+	}, RunProxy, func(r ProxyResult) float64 { return r.Mbps })
+	for _, r := range res[slices.Index(proxyKinds, CfgFlashLite)][1:] {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"%s: copied %.1f MB, proxy cksum-cache hit rate %.2f, proxy hit rate %.2f, %.1f pkts/req, %.1f acks/req, seg fill %.2f, %.1f sys/req",
+			r.Label, r.CopiedMB, r.CksumHitRate, r.HitRate, r.PktsPerReq, r.AcksPerReq, r.SegFill, r.SyscallsPerReq))
 	}
 	t.Notes = append(t.Notes,
 		"8 docs x 64KB, 32 clients, 4 machines; proxied runs interpose a caching reverse-proxy machine",

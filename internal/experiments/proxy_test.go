@@ -22,6 +22,7 @@ func quickProxy(mode apps.ProxyMode, direct bool) ProxyResult {
 // zero-copy relay beats the copying proxy on charged cost, and the splice
 // hit path beats both.
 func TestProxyChargedCostOrdering(t *testing.T) {
+	t.Parallel()
 	cp := quickProxy(apps.ProxyCopy, false)
 	zc := quickProxy(apps.ProxyZeroCopy, false)
 	sp := quickProxy(apps.ProxySplice, false)
@@ -82,6 +83,7 @@ func TestProxyChargedCostOrdering(t *testing.T) {
 // alone must also serve correctly, and the splice-origin kind must be no
 // slower than plain Flash-Lite.
 func TestProxyDirectComparison(t *testing.T) {
+	t.Parallel()
 	direct := quickProxy(apps.ProxyCopy, true) // mode ignored when Direct
 	if direct.Errors != 0 {
 		t.Fatalf("direct errors=%d", direct.Errors)
@@ -109,6 +111,7 @@ func TestProxyDirectComparison(t *testing.T) {
 // 55% of the baseline's packets per request (data + acks) and does not
 // give back throughput.
 func TestProxyOffloadPacketEconomy(t *testing.T) {
+	t.Parallel()
 	run := func(offload bool) ProxyResult {
 		r := RunProxy(ProxyParams{
 			Origin:  CfgFlashLite,

@@ -210,39 +210,13 @@ func RunQoS(fp QoSParams) QoSResult {
 // enforcement overhead on the uniform legs (in kreq/s and in server
 // CPU-µs per request), and where the aggressor's excess went.
 func FigQoS(opt Options) *Table {
-	t := &Table{
-		Title:   "QoS: victim p99 (µs) under a heavy hitter, enforcement off vs on",
-		XLabel:  "population",
-		Columns: []string{"uniform off", "uniform on", "aggr off", "aggr on"},
-	}
-	tenants := 1000
-	warm, meas := 300*time.Millisecond, 1200*time.Millisecond
-	if opt.Quick {
-		tenants = 300
-		warm, meas = 200*time.Millisecond, 600*time.Millisecond
-	}
-	legs := []struct {
-		aggressor, qos bool
-	}{
-		{false, false}, {false, true}, {true, false}, {true, true},
-	}
-	row := Row{Label: fmt.Sprintf("%d+1", tenants)}
-	var rs []QoSResult
-	for _, leg := range legs {
-		r := RunQoS(QoSParams{
-			Tenants:   tenants,
-			Aggressor: leg.aggressor,
-			QoS:       leg.qos,
-			Warmup:    warm,
-			Measure:   meas,
-			Obs:       opt.Trace,
-		})
-		opt.progress("FigQoS %s: victim p99 %.0fµs, %.2f kreq/s (agg %.2f kreq/s, sheds/req %.2f, cpu %.2f)",
-			r.Label, r.VictimP99Us, r.KReqPerSec, r.AggKReqPerSec, r.ShedsPerReq, r.CPUUtil)
-		row.Values = append(row.Values, r.VictimP99Us)
-		rs = append(rs, r)
-	}
-	t.Rows = append(t.Rows, row)
+	t := &Table{Title: "QoS: victim p99 (µs) under a heavy hitter, enforcement off vs on", XLabel: "population",
+		Columns: []string{"uniform off", "uniform on", "aggr off", "aggr on"}}
+	tenants := pick(opt, 1000, 300)
+	warm, meas := pick(opt, 300*time.Millisecond, 200*time.Millisecond), pick(opt, 1200*time.Millisecond, 600*time.Millisecond)
+	rs := sweep(opt, t, []string{fmt.Sprintf("%d+1", tenants)}, func(_, c int) QoSParams { // columns: {uniform, aggr} × {off, on}
+		return QoSParams{Tenants: tenants, Aggressor: c >= 2, QoS: c%2 == 1, Warmup: warm, Measure: meas, Obs: opt.Trace}
+	}, RunQoS, func(r QoSResult) float64 { return r.VictimP99Us })[0]
 	overhead := 0.0
 	if rs[0].KReqPerSec > 0 {
 		overhead = (rs[0].KReqPerSec - rs[1].KReqPerSec) / rs[0].KReqPerSec * 100

@@ -10,6 +10,7 @@ import (
 // p99 within 30% of its no-aggressor baseline — while on a uniform
 // population enforcement costs ≤5% kreq/s vs QoS off.
 func TestQoSIsolationAcceptance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-leg 1000-tenant run")
 	}
@@ -62,6 +63,7 @@ func TestQoSIsolationAcceptance(t *testing.T) {
 // The uniform QoS-on leg must not shed well-behaved tenants: everyone is
 // inside their allowance, so admission control should be invisible.
 func TestQoSUniformNoSheds(t *testing.T) {
+	t.Parallel()
 	r := RunQoS(QoSParams{
 		Tenants: 300,
 		QoS:     true,
