@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -77,8 +76,6 @@ type ProxyConfig struct {
 	OriginRef bool
 	// Tss is the socket send buffer size for both tiers (default 64 KB).
 	Tss int
-	// CacheBytes caps the response cache (0 = unlimited). Eviction is LRU.
-	CacheBytes int64
 	// TTL bounds how long a cached response may be served (0 = forever).
 	// A lookup that finds an entry older than TTL retires it and refetches
 	// from the origin — expiry without conditional revalidation.
@@ -97,13 +94,6 @@ type ProxyConfig struct {
 	// is served (and counted in StaleServed) rather than answering 502 —
 	// the stale copy outlives the origin outage.
 	ServeStale bool
-	// Deadline bounds the whole fetch-and-retry sequence for one miss.
-	// When it passes, the proxy stops retrying and sheds the request with
-	// 504 Gateway Timeout (counted in Shed) instead of holding the client
-	// while backoff timers run out. It is checked between attempts — a
-	// single in-flight fetch is bounded by the transport, not preempted.
-	// 0 means retries alone bound the wait.
-	Deadline time.Duration
 
 	// Obs, when set, opens a span per proxied request: parse, cache
 	// lookup, origin fetch (dispatch), retry backoff, and client send are
@@ -122,7 +112,6 @@ type proxyEntry struct {
 	raw  []byte
 	resp *core.Agg
 	fd   int
-	last sim.Time
 	// stored is the fetch instant, against which TTL expiry is judged.
 	stored sim.Time
 
@@ -141,8 +130,7 @@ type Proxy struct {
 	proc *kernel.Process
 	lfd  int
 
-	cache      map[string]*proxyEntry
-	cacheBytes int64
+	cache map[string]*proxyEntry
 
 	stats ProxyStats
 
@@ -177,8 +165,8 @@ type ProxyStats struct {
 	Requests, Hits, Misses int64
 	// BytesOut is the bytes sent to clients.
 	BytesOut int64
-	// Aborted counts responses not fully delivered: a client write error,
-	// a failed origin fetch answered 502, or a deadline shed answered 504.
+	// Aborted counts responses not fully delivered: a client write error
+	// or a failed origin fetch answered 502.
 	Aborted int64
 	// Expired counts cache entries a lookup retired for exceeding the
 	// configured TTL (each one turns that request into a miss).
@@ -188,9 +176,6 @@ type ProxyStats struct {
 	// StaleServed counts requests answered from a TTL-expired entry
 	// because the origin could not be reached (ServeStale mode).
 	StaleServed int64
-	// Shed counts requests answered 504 because the fetch deadline
-	// passed before the origin recovered.
-	Shed int64
 }
 
 // HitRate reports the fraction of requests served from the cache.
@@ -316,14 +301,7 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			default:
 				px.stats.Requests++
 				px.stats.Aborted++
-				status := []byte("HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
-				if errors.Is(ferr, kernel.ErrTimedOut) {
-					// The fetch deadline passed: shed with 504 instead of
-					// holding the client while backoff timers run out.
-					px.stats.Shed++
-					status = []byte("HTTP/1.1 504 Gateway Timeout\r\nContent-Length: 0\r\n\r\n")
-				}
-				px.m.WritePOSIX(p, px.proc, cfd, status)
+				px.m.WritePOSIX(p, px.proc, cfd, []byte("HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n"))
 				sp.Abandon()
 				p.SetAttrib(nil)
 				px.m.Close(p, px.proc, cfd)
@@ -331,7 +309,6 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			}
 		}
 		px.stats.Requests++
-		e.last = p.Now()
 		sp.Enter(p.Now(), obs.PhaseSend)
 		var stallBase sim.Duration
 		if sp != nil && cep != nil {
@@ -399,12 +376,8 @@ func (px *Proxy) backoff(attempt int) time.Duration {
 
 // fetchRetry runs fetch under the recovery policy: up to cfg.Retries extra
 // attempts spaced by jittered exponential backoff on the engine's shared
-// timer wheel, the whole sequence bounded by cfg.Deadline. A deadline that
-// would pass during the next backoff sheds immediately with an error
-// matching kernel.ErrTimedOut — the client gets its 504 now, not after the
-// timers run out.
+// timer wheel.
 func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry, error) {
-	start := p.Now()
 	for attempt := 0; ; attempt++ {
 		e, err := px.fetch(p, path, sp)
 		if err == nil {
@@ -414,9 +387,6 @@ func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry
 			return nil, err
 		}
 		d := px.backoff(attempt)
-		if px.cfg.Deadline > 0 && p.Now().Sub(start)+d >= px.cfg.Deadline {
-			return nil, fmt.Errorf("proxy: fetch %s after %d attempts: %w", path, attempt+1, kernel.ErrTimedOut)
-		}
 		px.stats.Retries++
 		if d > 0 {
 			// The backoff wait is its own phase: recovery idle time, not
@@ -515,9 +485,8 @@ func (px *Proxy) drain(p *sim.Proc, ofd int) {
 	}
 }
 
-// insert adds e to the cache, evicting least-recently-used entries when
-// over the configured capacity. In splice mode the response is sealed
-// behind an object descriptor so hits can bypass user space entirely.
+// insert adds e to the cache. In splice mode the response is sealed behind
+// an object descriptor so hits can bypass user space entirely.
 func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 	if px.cfg.Mode == ProxySplice {
 		e.fd = px.proc.Install(kernel.NewAggDesc(px.m, e.resp))
@@ -526,27 +495,12 @@ func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 	// Two connections can miss on the same path concurrently (both yield
 	// inside fetch) — and the TTL expiry path re-opens that window every
 	// period. The second insert must evict the first entry, not orphan
-	// it: a silent map overwrite would leak its aggregate or splice fd
-	// and leave its size counted against cacheBytes forever.
+	// it: a silent map overwrite would leak its aggregate or splice fd.
 	if old := px.cache[e.path]; old != nil && old != e {
 		px.evict(p, old)
 	}
-	e.last = p.Now()
 	e.stored = p.Now()
 	px.cache[e.path] = e
-	px.cacheBytes += e.size
-	for px.cfg.CacheBytes > 0 && px.cacheBytes > px.cfg.CacheBytes && len(px.cache) > 1 {
-		var victim *proxyEntry
-		for _, c := range px.cache {
-			if c != e && (victim == nil || c.last < victim.last) {
-				victim = c
-			}
-		}
-		if victim == nil {
-			return
-		}
-		px.evict(p, victim)
-	}
 }
 
 // evict removes one entry from the cache. Resources are reclaimed at once
@@ -554,7 +508,6 @@ func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 // in-flight sender reclaims it.
 func (px *Proxy) evict(p *sim.Proc, e *proxyEntry) {
 	delete(px.cache, e.path)
-	px.cacheBytes -= e.size
 	if e.inflight > 0 {
 		e.dead = true
 		return

@@ -23,10 +23,11 @@ type proxyBed struct {
 }
 
 func newProxyBed(mode ProxyMode, originKind httpd.Kind) *proxyBed {
-	return newProxyBedCapped(mode, originKind, 0)
+	return newProxyBedTTL(mode, originKind, 0)
 }
 
-func newProxyBedCapped(mode ProxyMode, originKind httpd.Kind, cacheBytes int64) *proxyBed {
+// newProxyBedTTL is newProxyBed with an entry TTL.
+func newProxyBedTTL(mode ProxyMode, originKind httpd.Kind, ttl time.Duration) *proxyBed {
 	eng := sim.New()
 	costs := sim.DefaultCosts()
 	b := &proxyBed{eng: eng}
@@ -49,7 +50,7 @@ func newProxyBedCapped(mode ProxyMode, originKind httpd.Kind, cacheBytes int64) 
 		Origin:     originLst,
 		OriginLink: originLink,
 		OriginRef:  originKind.Lite(),
-		CacheBytes: cacheBytes,
+		TTL:        ttl,
 	})
 
 	b.client = netsim.NewHost(eng, costs, "client", false, nil, nil)
@@ -164,13 +165,14 @@ func TestProxyHitAvoidsOriginAndCopies(t *testing.T) {
 	}
 }
 
-// TestProxyCacheEviction bounds the cache and checks that LRU eviction
-// reclaims entries (splice fds included), evicted paths are re-fetched,
-// and the bytes stay correct throughout.
+// TestProxyCacheEviction interleaves three paths under a TTL shorter than
+// the gap between requests: every re-request evicts its path's expired
+// entry (splice fds included) and re-fetches it, the other paths' entries
+// stay resident, and the bytes stay correct throughout.
 func TestProxyCacheEviction(t *testing.T) {
 	for _, mode := range []ProxyMode{ProxyCopy, ProxyZeroCopy, ProxySplice} {
 		t.Run(mode.String(), func(t *testing.T) {
-			b := newProxyBedCapped(mode, httpd.FlashLite, 70<<10) // fits ~2 of 3 docs
+			b := newProxyBedTTL(mode, httpd.FlashLite, time.Microsecond)
 			const docSize = 30 << 10
 			var want [3][]byte
 			paths := []string{"/a", "/b", "/c"}
@@ -178,7 +180,7 @@ func TestProxyCacheEviction(t *testing.T) {
 				f := b.origin.FS.Create(path, docSize)
 				want[i] = b.origin.FS.Expected(f, 0, f.Size())
 			}
-			// Two LRU-hostile passes: every request past the first few evicts.
+			// Every request past the first three evicts an expired entry.
 			seq := []string{"/a", "/b", "/c", "/a", "/b", "/c", "/a"}
 			got := b.fetch(t, seq)
 			for i, path := range paths {
@@ -194,11 +196,11 @@ func TestProxyCacheEviction(t *testing.T) {
 			if hits+misses != reqs {
 				t.Fatalf("hits(%d)+misses(%d) != requests(%d)", hits, misses, reqs)
 			}
-			if misses <= 3 {
-				t.Fatalf("misses=%d; the bounded cache should have evicted and re-fetched", misses)
+			if misses != reqs || st.Expired != 4 {
+				t.Fatalf("misses=%d expired=%d; every re-request must evict and re-fetch", misses, st.Expired)
 			}
-			if b.px.cacheBytes > 70<<10 {
-				t.Fatalf("cacheBytes=%d over the %d cap", b.px.cacheBytes, 70<<10)
+			if len(b.px.cache) != len(paths) {
+				t.Fatalf("%d cache entries, want one per path (%d)", len(b.px.cache), len(paths))
 			}
 			// Evicted splice entries must close their object fds: the table
 			// holds at most the listener plus one fd per resident entry.

@@ -68,21 +68,6 @@ func (a *Agg) Append(s Slice) {
 	a.n += s.Len
 }
 
-// Prepend adds s at the front, retaining its buffer. It shifts in place
-// when capacity allows, so repeated header-prepending (the §3.10 web
-// server pattern) does not reallocate the slice list on every call.
-func (a *Agg) Prepend(s Slice) {
-	a.check()
-	if s.Len == 0 {
-		return
-	}
-	s.Buf.Retain()
-	a.slices = append(a.slices, Slice{})
-	copy(a.slices[1:], a.slices)
-	a.slices[0] = s
-	a.n += s.Len
-}
-
 // Concat appends a copy of b's contents (by reference) to a. b is unchanged.
 func (a *Agg) Concat(b *Agg) {
 	a.check()

@@ -109,39 +109,3 @@ func TestRangeOfEmptyAggregate(t *testing.T) {
 	}()
 	a.Range(0, 1)
 }
-
-func TestPrependMatchesSemantics(t *testing.T) {
-	// The in-place Prepend must behave exactly like the old
-	// allocate-and-copy version: order, length, refcounts.
-	h := newHarness()
-	h.run(t, func(p *sim.Proc) {
-		a, want := multiSlice(h, p, 3, 512)
-		hd := pattern(64, 99)
-		b := h.pool.Alloc(p, 64)
-		fill(b, hd)
-		s := Slice{Buf: b, Off: 0, Len: 64}
-
-		a.Prepend(s)
-		if b.Refs() != 2 { // allocation ref + aggregate ref
-			t.Fatalf("Prepend retained %d refs, want 2", b.Refs())
-		}
-		if a.NumSlices() != 4 || a.Len() != 3*512+64 {
-			t.Fatalf("after Prepend: slices=%d len=%d", a.NumSlices(), a.Len())
-		}
-		if !bytes.Equal(a.Materialize(), append(append([]byte(nil), hd...), want...)) {
-			t.Fatal("Prepend broke ordering")
-		}
-
-		// Zero-length prepends are no-ops and must not retain.
-		a.Prepend(Slice{Buf: b, Off: 0, Len: 0})
-		if b.Refs() != 2 || a.NumSlices() != 4 {
-			t.Fatal("zero-length Prepend had an effect")
-		}
-
-		b.Release()
-		a.Release()
-		if b.Refs() != 0 {
-			t.Fatalf("refs = %d after release, want 0", b.Refs())
-		}
-	})
-}

@@ -293,10 +293,8 @@ func TestAggregatePrependHeader(t *testing.T) {
 	h := newHarness()
 	h.run(t, func(p *sim.Proc) {
 		body := PackBytes(p, h.pool, pattern(10000, 3))
-		hdr := h.pool.Pack(p, []byte("HTTP/1.0 200 OK\r\n\r\n"))
-		resp := body.Clone()
-		resp.Prepend(hdr)
-		hdr.Buf.Release() // aggregate holds its own ref now
+		resp := PackBytes(p, h.pool, []byte("HTTP/1.0 200 OK\r\n\r\n"))
+		resp.Concat(body)
 		if resp.Len() != 10019 {
 			t.Fatalf("Len = %d", resp.Len())
 		}

@@ -17,7 +17,7 @@ import (
 
 // The chaos experiment: the zero-copy claims under failure. A depth-D
 // sock-local ref fcgi tier runs its closed loop while the loopback wire
-// drops and corrupts data segments (netsim.FaultPlan + go-back-N recovery)
+// drops data segments (netsim.FaultPlan + go-back-N recovery)
 // and a killer process periodically tears a worker's channel down
 // mid-flight (supervision respawns capacity; the Replay policy decides
 // whether in-flight idempotent requests survive). The meters answer the
@@ -42,11 +42,10 @@ type ChaosParams struct {
 	// and a saturated host converts every retransmitted segment straight
 	// into lost goodput, measuring only the overhead, never the recovery.
 	Think time.Duration
-	// LossProb / CorruptProb are the per-data-segment fault probabilities
-	// on the loopback wire; 0/0 leaves the wire reliable (and the
-	// fault-free path timer-free).
-	LossProb    float64
-	CorruptProb float64
+	// LossProb is the per-data-segment drop probability on the loopback
+	// wire; 0 leaves the wire reliable (and the fault-free path
+	// timer-free).
+	LossProb float64
 	// KillEvery is the period between worker kills (0 = no kills). Kills
 	// rotate round-robin over the pool and run through the whole window.
 	KillEvery time.Duration
@@ -91,7 +90,8 @@ type ChaosResult struct {
 	// run's figure (sock-local ref payloads cross by reference; only
 	// framing and request params are copied).
 	CopiedKBPerReq float64
-	// DroppedSegs / CorruptedSegs are the plan's injection counts.
+	// DroppedSegs / CorruptedSegs are the plan's injection counts (the
+	// plan injects loss only, so CorruptedSegs reads 0).
 	DroppedSegs   int64
 	CorruptedSegs int64
 	// LeakPages counts live pages beyond the per-pool open-chunk allowance
@@ -122,11 +122,11 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	// the full pass, so recovery overhead is wire bytes, not CPU.
 	m := w.machine(kernel.Config{ChecksumCache: true, Offload: cp.Offload})
 	srv := m.NewProcess("chaos-srv", 2<<20)
-	tr := fcgi.NewLoopbackTransport(m, srv, true, 0)
+	tr := fcgi.NewLoopbackTransport(m, srv, true)
 
 	var plan *netsim.FaultPlan
-	if cp.LossProb > 0 || cp.CorruptProb > 0 {
-		plan = &netsim.FaultPlan{DropProb: cp.LossProb, CorruptProb: cp.CorruptProb, Seed: cp.Seed}
+	if cp.LossProb > 0 {
+		plan = &netsim.FaultPlan{DropProb: cp.LossProb, Seed: cp.Seed}
 		tr.Link.SetFaultPlan(plan)
 	}
 
@@ -138,7 +138,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		Depth:     cp.Depth,
 		Ref:       true,
 		Transport: tr,
-		Respawn:   true,
 		Replay:    cp.Replay,
 		Name:      "cw",
 		Obs:       cp.Obs,
@@ -217,9 +216,6 @@ func leakPages(live int) int {
 
 func chaosLabel(cp ChaosParams) string {
 	l := fmt.Sprintf("loss=%.1f%%", cp.LossProb*100)
-	if cp.CorruptProb > 0 {
-		l += fmt.Sprintf(" corrupt=%.1f%%", cp.CorruptProb*100)
-	}
 	if cp.KillEvery > 0 {
 		l += fmt.Sprintf(" kill=%v", cp.KillEvery)
 		if cp.Replay {
@@ -238,7 +234,6 @@ func chaosLabel(cp ChaosParams) string {
 type StaleChaosResult struct {
 	Requests    int64
 	StaleServed int64
-	Shed        int64
 	Aborted     int64
 }
 
@@ -295,7 +290,7 @@ func RunStaleChaos() StaleChaosResult {
 	eng.Run()
 
 	st := px.Stats()
-	return StaleChaosResult{Requests: st.Requests, StaleServed: st.StaleServed, Shed: st.Shed, Aborted: st.Aborted}
+	return StaleChaosResult{Requests: st.Requests, StaleServed: st.StaleServed, Aborted: st.Aborted}
 }
 
 // chaosFigConfigs is the column set: kills off / kills without replay /
@@ -338,10 +333,10 @@ func FigChaos(opt Options) *Table {
 	}
 	sres := RunStaleChaos()
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("origin-outage leg (ServeStale proxy): %d requests, %d stale-served, %d shed, %d failed",
-			sres.Requests, sres.StaleServed, sres.Shed, sres.Aborted),
+		fmt.Sprintf("origin-outage leg (ServeStale proxy): %d requests, %d stale-served, %d failed",
+			sres.Requests, sres.StaleServed, sres.Aborted),
 		"sock-local ref fcgi, 2 workers × depth 16, 16KB docs, 400µs app wait, 40ms client think",
-		"loss and corruption are injected per data segment on the loopback wire;",
+		"loss is injected per data segment on the loopback wire;",
 		"go-back-N retransmission re-sends stored refs (no copy re-charge)",
 		"kills close a worker channel every 20ms; supervision respawns capacity,",
 		"and with replay on, in-flight idempotent requests re-dispatch instead of failing")

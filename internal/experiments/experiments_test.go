@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,17 +277,30 @@ func TestRunWebValidation(t *testing.T) {
 	RunWeb(WebParams{Server: CfgFlashLite})
 }
 
+// checkHeaderSplits fails t unless tbl's formatted header line splits on
+// runs of two or more spaces into exactly its XLabel and Columns: no two
+// labels run together, however long.
+func checkHeaderSplits(t *testing.T, tbl *Table) {
+	t.Helper()
+	header := strings.Split(tbl.Format(), "\n")[1]
+	got := regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(header), -1)
+	if want := append([]string{tbl.XLabel}, tbl.Columns...); !reflect.DeepEqual(got, want) {
+		t.Errorf("header %q splits into %q, want %q", header, got, want)
+	}
+}
+
 func TestTableHelpers(t *testing.T) {
 	tb := &Table{
 		Title:   "t",
 		XLabel:  "x",
-		Columns: []string{"a", "b"},
-		Rows:    []Row{{Label: "r1", Values: []float64{1, 2}}},
+		Columns: []string{"a", "sock-local ref ring", "b"},
+		Rows:    []Row{{Label: "r1", Values: []float64{1, 3, 2}}},
 		Notes:   []string{"n"},
 	}
 	if tb.Format() == "" {
 		t.Fatal("empty format")
 	}
+	checkHeaderSplits(t, tb)
 	if v, ok := tb.Value("r1", "b"); !ok || v != 2 {
 		t.Fatalf("Value = %v/%v", v, ok)
 	}

@@ -145,11 +145,11 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 	wm := m
 	switch fp.Placement {
 	case PlacePipe:
-		tr = fcgi.NewPipeTransport(m, srv, fp.Ref, 0)
+		tr = fcgi.NewPipeTransport(m, srv, fp.Ref)
 	case PlaceSockLocal:
-		tr = fcgi.NewLoopbackTransport(m, srv, fp.Ref, 0)
+		tr = fcgi.NewLoopbackTransport(m, srv, fp.Ref)
 	case PlaceSockRemote:
-		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref, 0, "wkr")
+		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref, "wkr")
 	default:
 		panic("experiments: unknown placement " + string(fp.Placement))
 	}
@@ -163,7 +163,6 @@ func RunFCGI(fp FCGIParams) FCGIResult {
 		Ref:       fp.Ref,
 		Ring:      fp.Ring,
 		Transport: tr,
-		Respawn:   true,
 		Name:      "fw",
 		Obs:       fp.Obs,
 		OnRetire:  app.retire,

@@ -203,6 +203,7 @@ func TestFigFCGINetTable(t *testing.T) {
 	if len(tbl.Rows) < 2 || len(tbl.Columns) != 8 {
 		t.Fatalf("table %dx%d, want ≥2 rows x 8 cols", len(tbl.Rows), len(tbl.Columns))
 	}
+	checkHeaderSplits(t, tbl)
 	for _, row := range tbl.Rows {
 		if len(row.Values) != len(tbl.Columns) {
 			t.Fatalf("row %s has %d values for %d columns", row.Label, len(row.Values), len(tbl.Columns))

@@ -170,8 +170,20 @@ func Fig7(opt Options) *Table {
 		XLabel:  "trace/rank",
 		Columns: []string{"req frac", "size frac"},
 	}
-	for _, spec := range []wload.TraceSpec{wload.ECE, wload.CS, wload.MERGED} {
-		tr := traceFor(spec)
+	specs := []wload.TraceSpec{wload.ECE, wload.CS, wload.MERGED}
+	// The three logs generate concurrently; rows fill in spec order.
+	traces := make([]*wload.Trace, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[i] = traceFor(spec)
+		}()
+	}
+	wg.Wait()
+	for i, spec := range specs {
+		tr := traces[i]
 		for _, rank := range []int{1000, 5000, 10000, 20000, spec.Files} {
 			if rank <= spec.Files {
 				rf, sf := tr.FracAtRank(rank)

@@ -15,7 +15,7 @@ import (
 // does to a victim's p99 (isolation), what enforcement costs when nobody
 // misbehaves (overhead), and where the aggressor's excess goes (sheds).
 // Enforcement is the pool's admission control (per-tenant rate bucket +
-// in-flight share) together with its within-weight routing.
+// in-flight share) together with its per-tenant routing.
 
 // QoSParams describes one multi-tenant run.
 type QoSParams struct {
@@ -32,7 +32,7 @@ type QoSParams struct {
 	// ReqRate/ReqBurst below). Off, the pool is the strictly-FIFO shared
 	// pool of the earlier PRs.
 	QoS bool
-	// ReqRate / ReqBurst are the per-unit-weight admitted requests/sec
+	// ReqRate / ReqBurst are each tenant's admitted requests/sec
 	// and burst when QoS is on (defaults 5 and 3 — 2× a tenant's fair
 	// rate at the default think time, far below the p99 sample fraction).
 	ReqRate  int64
@@ -119,7 +119,7 @@ func RunQoS(fp QoSParams) QoSResult {
 
 	// The pool rides a loopback socket transport (not a pipe) so the
 	// netsim send pump is in the measured path.
-	transport := fcgi.NewLoopbackTransport(m, srv, true, 2<<20)
+	transport := fcgi.NewLoopbackTransport(m, srv, true)
 	app := newDocApp(true, fp.DocBytes, fp.AppDelay)
 	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
 		Machine:         m,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a figure's data: one row per x-axis point, one column per
@@ -24,16 +25,22 @@ type Row struct {
 // Format renders the table for terminal output.
 func (t *Table) Format() string {
 	var b strings.Builder
+	// Every column is 16 wide, or two wider than the longest column
+	// label, so adjacent headers never run together.
+	w := 16
+	for _, c := range t.Columns {
+		w = max(w, utf8.RuneCountInString(c)+2)
+	}
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	fmt.Fprintf(&b, "%-18s", t.XLabel)
 	for _, c := range t.Columns {
-		fmt.Fprintf(&b, "%16s", c)
+		fmt.Fprintf(&b, "%*s", w, c)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-18s", r.Label)
 		for _, v := range r.Values {
-			fmt.Fprintf(&b, "%16.2f", v)
+			fmt.Fprintf(&b, "%*.2f", w, v)
 		}
 		b.WriteByte('\n')
 	}

@@ -142,10 +142,6 @@ func RunWeb(wp WebParams) WebResult {
 		Machine:  m,
 		Listener: lst,
 		CGI:      wp.CGISize > 0,
-		// The paper's measured servers dispatched one request per worker
-		// at a time (§5.3); pin that shape so Figs 5-6 keep measuring it.
-		// The multiplexed protocol (depth > 1) is FigFCGI's subject.
-		CGIDepth: 1,
 		Obs:      wp.Obs,
 	})
 	w.track(srv)

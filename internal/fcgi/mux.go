@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"iolite/internal/core"
-	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
@@ -22,15 +21,8 @@ type Request struct {
 	StdinAgg *core.Agg
 	// Idempotent sets FlagIdempotent on the BEGIN record: the request is
 	// safe to execute more than once, so a replay-enabled pool may
-	// re-dispatch it after a worker death or timeout.
+	// re-dispatch it after a worker death.
 	Idempotent bool
-	// Deadline bounds the whole request — slot wait, dispatch, and
-	// response wait. When it passes, Do returns an error matching
-	// kernel.ErrTimedOut instead of blocking further; a request already
-	// dispatched is abandoned (its id stays dead until the worker's END
-	// eventually arrives, so a late response cannot be misdelivered to a
-	// recycled id). 0 means no deadline.
-	Deadline sim.Duration
 	// Span, when set, is the request's observability span: the mux enters
 	// its dispatch/service phases, stamps the span's trace id onto the
 	// BEGIN record so it crosses to the worker machine, and carves the
@@ -38,7 +30,7 @@ type Request struct {
 	Span *obs.Span
 	// Tenant names the principal this request serves. On a QoS-enabled
 	// pool it selects the admission account (rate bucket, in-flight
-	// share) and the within-weight routing signal, and lands in the span.
+	// share) and the per-tenant routing signal, and lands in the span.
 	// Empty bypasses QoS.
 	Tenant string
 }
@@ -78,15 +70,11 @@ func (r *Response) Len() int {
 }
 
 // stream is the mux-side state of one in-flight request: inbound records
-// queued by the reader proc, and the requester parked on wait. dead marks
-// a tombstone: the requester timed out and abandoned the id, which stays
-// allocated (and the depth slot held — the worker really is still working
-// on it) until the END record arrives and retires it.
+// queued by the reader proc, and the requester parked on wait.
 type stream struct {
 	recs []Record
 	wait sim.WaitQueue
 	err  error
-	dead bool
 }
 
 // Mux multiplexes up to depth concurrent requests over one Conn. Each
@@ -108,7 +96,6 @@ type Mux struct {
 	onFail   []func(error)
 	requests int64
 	failures int64
-	timeouts int64
 }
 
 // NewMux starts a multiplexer of the given depth over c, spawning its
@@ -124,9 +111,6 @@ func NewMux(c *Conn, depth int) *Mux {
 
 // Conn returns the underlying connection (stats, tests).
 func (mx *Mux) Conn() *Conn { return mx.c }
-
-// Depth returns the mux's in-flight cap.
-func (mx *Mux) Depth() int { return mx.depth }
 
 // Err returns the terminal connection error, if the mux has failed.
 func (mx *Mux) Err() error { return mx.err }
@@ -150,12 +134,6 @@ func (mx *Mux) OnFail(fn func(error)) {
 func (mx *Mux) Stats() (requests, failures int64) {
 	return mx.requests, mx.failures
 }
-
-// Timeouts reports requests abandoned because their deadline passed.
-func (mx *Mux) Timeouts() int64 { return mx.timeouts }
-
-// Inflight reports how many requests are currently open.
-func (mx *Mux) Inflight() int { return mx.inflight }
 
 func (mx *Mux) allocID() uint16 {
 	if n := len(mx.freeIDs); n > 0 {
@@ -182,33 +160,13 @@ func (mx *Mux) retireID(id uint16, st *stream) {
 }
 
 // Do issues one request and blocks until its END record (or a connection
-// failure, or the request's deadline). Ownership of req.StdinAgg passes to
-// the mux — except on errors matching ErrNotSent, where no record reached
-// the worker and the caller keeps ownership so it can re-route the
-// request. The caller owns the returned response (Release its Body when
-// done).
-//
-// A deadline that passes before dispatch sheds the request with nothing
-// sent (the caller keeps req.StdinAgg). One that passes mid-flight
-// abandons the request: its id turns into a tombstone that the reader
-// retires when the worker's END eventually arrives, so the id cannot be
-// recycled while a late response could still be misdelivered to it, and
-// the depth slot stays held — the worker really is still busy with it.
+// failure). Ownership of req.StdinAgg passes to the mux — except on errors
+// matching ErrNotSent, where no record reached the worker and the caller
+// keeps ownership so it can re-route the request. The caller owns the
+// returned response (Release its Body when done).
 func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 	mx.requests++
-	var expired bool
-	var cur *stream
-	if req.Deadline > 0 {
-		timer := mx.c.m.Eng.Wheel().Schedule(req.Deadline, func() {
-			expired = true
-			mx.slots.Wake(-1)
-			if cur != nil {
-				cur.wait.Wake(-1)
-			}
-		})
-		defer timer.Cancel()
-	}
-	for mx.err == nil && !expired && mx.inflight >= mx.depth {
+	for mx.err == nil && mx.inflight >= mx.depth {
 		mx.slots.Wait(p)
 	}
 	if mx.err != nil {
@@ -218,16 +176,9 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 		mx.failures++
 		return nil, notSent(mx.err)
 	}
-	if expired {
-		// Shed, don't hang: nothing was sent, the caller keeps its stdin.
-		mx.failures++
-		mx.timeouts++
-		return nil, fmt.Errorf("fcgi: %w waiting for a mux slot", kernel.ErrTimedOut)
-	}
 	id := mx.allocID()
 	st := &stream{}
 	mx.streams[id] = st
-	cur = st
 	mx.inflight++
 
 	var stallBase sim.Duration
@@ -275,17 +226,6 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 	var body *core.Agg
 	for {
 		for len(st.recs) == 0 && st.err == nil {
-			if expired {
-				// Abandon mid-flight: tombstone the id. The worker keeps
-				// executing; the reader retires the id on its END.
-				if body != nil {
-					body.Release()
-				}
-				st.dead = true
-				mx.failures++
-				mx.timeouts++
-				return nil, fmt.Errorf("fcgi: request %d abandoned: %w", id, kernel.ErrTimedOut)
-			}
 			st.wait.Wait(p)
 		}
 		if st.err != nil {
@@ -347,16 +287,6 @@ func (mx *Mux) readLoop(p *sim.Proc) {
 		st := mx.streams[rec.ReqID]
 		if st == nil {
 			rec.Release() // request already gone (or never existed)
-			continue
-		}
-		if st.dead {
-			// Tombstoned id: the requester timed out and left. Drop the
-			// late response's references; its END retires the id at last.
-			end := rec.Type == RecEnd
-			rec.Release()
-			if end {
-				mx.retireID(rec.ReqID, st)
-			}
 			continue
 		}
 		st.recs = append(st.recs, rec)

@@ -29,10 +29,9 @@ type PoolConfig struct {
 	// tiny).
 	Ref bool
 	// Transport supplies worker channels. Nil selects the in-machine
-	// pipe transport built from Machine/Server/Ref/WorkerMem (PR 3's
-	// wiring). A non-nil transport carries its own payload-mode
-	// configuration; keep its ref setting consistent with Ref so
-	// handlers and channels agree.
+	// pipe transport built from Machine/Server/Ref. A non-nil transport
+	// carries its own payload-mode configuration; keep its ref setting
+	// consistent with Ref so handlers and channels agree.
 	Transport Transport
 	// Ring routes both ends of every worker channel through submission
 	// rings (Conn.EnableRing): record writes from the mux's concurrent
@@ -41,29 +40,20 @@ type PoolConfig struct {
 	// syscall charges per cycle instead of one per record and one per
 	// delivery.
 	Ring bool
-	// Respawn enables worker supervision: when a worker's channel
-	// breaks, the pool re-establishes it over the transport with a fresh
-	// worker process and routes new requests to the replacement.
-	// Requests in flight on the dead worker still fail unless Replay
-	// applies — supervision restores capacity.
-	Respawn bool
 	// Replay re-dispatches an in-flight request to another live worker
-	// after its worker died (ErrWorkerDied) or its deadline passed
-	// (kernel.ErrTimedOut) — but only requests marked Idempotent: a dead
-	// worker may have partially executed the work, so anything else still
-	// fails. Each attempt re-sends the stdin body from a retained master
-	// reference; successful deliveries keep the exactly-one-boundary-copy
-	// economy, failed attempts' partial transfer work is the price of
-	// recovery.
+	// after its worker died (ErrWorkerDied) — but only requests marked
+	// Idempotent: a dead worker may have partially executed the work, so
+	// anything else still fails. Each attempt re-sends the stdin body from
+	// a retained master reference; successful deliveries keep the
+	// exactly-one-boundary-copy economy, failed attempts' partial transfer
+	// work is the price of recovery.
 	Replay bool
-	// OnRetire, when set with Respawn, runs for each worker the pool
-	// retires (its channel broke and a replacement took its slot). It is
-	// the hook per-worker handler state uses to release the dead
-	// worker's cached resources — e.g. AggCache.Drop, or sealed
-	// documents stay pinned in the dead process's pool forever.
+	// OnRetire, when set, runs for each worker the pool retires (its
+	// channel broke and a replacement took its slot). It is the hook
+	// per-worker handler state uses to release the dead worker's cached
+	// resources — e.g. AggCache.Drop, or sealed documents stay pinned in
+	// the dead process's pool forever.
 	OnRetire func(w *Worker)
-	// WorkerMem is each worker process's private memory (default 2 MB).
-	WorkerMem int
 	// TypicalResponse is the expected response payload per request, used
 	// to autotune socket-transport send windows (depth × typical record;
 	// see AutoWindow). 0 selects TypicalRecordBytes.
@@ -76,7 +66,7 @@ type PoolConfig struct {
 	// to the worker phase.
 	Obs *obs.Collector
 	// QoS, when set, enables multi-tenant admission control and
-	// within-weight routing for requests that carry a Tenant (see
+	// per-tenant routing for requests that carry a Tenant (see
 	// QoSConfig; empty-tenant requests bypass it).
 	QoS *QoSConfig
 	// Handler serves each request; it receives the owning Worker so
@@ -84,14 +74,6 @@ type PoolConfig struct {
 	// field access away.
 	Handler func(p *sim.Proc, w *Worker, req *ServerRequest)
 }
-
-// maxReplays caps how many times one request may be re-dispatched after
-// timing out in flight before the error is surfaced to the caller. Only
-// timeouts count toward the cap: a request structurally slower than its
-// deadline would otherwise replay forever, while a worker-death replay
-// needs an actual worker death each time — supervision paces those, and
-// surviving sustained kills is exactly what the replay policy is for.
-const maxReplays = 3
 
 // Worker is one persistent worker process: its own protection domain and
 // allocation pool (the per-worker ACL isolation of §3.10 — a worker's
@@ -109,7 +91,7 @@ type Worker struct {
 	conn     *Conn // worker side
 	mux      *Mux  // server side
 	inflight int
-	// perTenant tracks in-flight requests by tenant (within-weight
+	// perTenant tracks in-flight requests by tenant (per-tenant
 	// routing); nil until the first tenant-tagged request.
 	perTenant map[string]int
 
@@ -183,9 +165,6 @@ func NewWorkerPool(cfg PoolConfig) *WorkerPool {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 8
 	}
-	if cfg.WorkerMem <= 0 {
-		cfg.WorkerMem = 2 << 20
-	}
 	if cfg.Name == "" {
 		cfg.Name = "fcgi"
 	}
@@ -194,7 +173,7 @@ func NewWorkerPool(cfg PoolConfig) *WorkerPool {
 	}
 	wp := &WorkerPool{cfg: cfg, transport: cfg.Transport}
 	if wp.transport == nil {
-		wp.transport = NewPipeTransport(cfg.Machine, cfg.Server, cfg.Ref, cfg.WorkerMem)
+		wp.transport = NewPipeTransport(cfg.Machine, cfg.Server, cfg.Ref)
 	}
 	// Socket transports size their channel send windows from the pool's
 	// concurrency instead of a hardwired constant: a window-starved mux
@@ -259,9 +238,10 @@ func (wp *WorkerPool) spawn(idx, gen int) *Worker {
 		worker.serveDone = true
 		worker.maybeRetire()
 	})
-	if wp.cfg.Respawn {
-		w.mux.OnFail(func(error) { wp.superviseRespawn(worker) })
-	}
+	// Supervision: when the worker's channel breaks, a fresh worker
+	// process over a fresh channel takes its slot. Requests in flight on
+	// the dead worker still fail unless Replay applies.
+	w.mux.OnFail(func(error) { wp.superviseRespawn(worker) })
 	return w
 }
 
@@ -359,10 +339,10 @@ func (wp *WorkerPool) pick(tenant string) *Worker {
 // live worker instead of failing it — the routing decision is re-checked
 // against the pool's current workers, which is also how requests reach a
 // supervision-respawned replacement. With Replay enabled, an Idempotent
-// request that fails in flight (ErrWorkerDied, kernel.ErrTimedOut) is
-// re-dispatched rather than failed: the pool keeps a master reference to
-// the stdin body and sends each attempt a fresh clone, so a consumed
-// attempt costs the master nothing.
+// request whose worker dies in flight (ErrWorkerDied) is re-dispatched
+// rather than failed: the pool keeps a master reference to the stdin body
+// and sends each attempt a fresh clone, so a consumed attempt costs the
+// master nothing.
 func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 	wp.requests++
 	// QoS admission runs first: a shed request never touches routing,
@@ -383,7 +363,6 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 		req.Span.SetTenant(req.Tenant)
 	}
 	replayable := wp.cfg.Replay && req.Idempotent
-	replayed := 0
 	// With replay in force, the pool retains the stdin body as a master
 	// reference and hands each attempt a fresh clone: a failed attempt's
 	// consumed clone costs the master nothing.
@@ -430,13 +409,11 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 			wp.reroutes++
 			continue
 		}
-		// In-flight failure: the attempt's stdin was consumed. Worker
-		// deaths replay without a cap; timeouts are capped (see
-		// maxReplays).
+		// In-flight failure: the attempt's stdin was consumed. A worker
+		// death needs an actual kill each time, and supervision paces
+		// those, so replay needs no cap.
 		req.StdinAgg = nil
-		if replayable && (errors.Is(err, ErrWorkerDied) ||
-			(errors.Is(err, kernel.ErrTimedOut) && replayed < maxReplays)) {
-			replayed++
+		if replayable && errors.Is(err, ErrWorkerDied) {
 			wp.replays++
 			continue
 		}
@@ -464,8 +441,6 @@ func (wp *WorkerPool) Stats() (requests, failures, writeErrs int64) {
 	return wp.requests, wp.failures, writeErrs
 }
 
-// Reroutes reports requests re-routed to another worker after their
-// first-choice worker died pre-dispatch.
 // InFlight reports requests currently dispatched across the pool's
 // workers — the queue-depth signal obs samplers watch.
 func (wp *WorkerPool) InFlight() int {
@@ -476,13 +451,15 @@ func (wp *WorkerPool) InFlight() int {
 	return n
 }
 
+// Reroutes reports requests re-routed to another worker after their
+// first-choice worker died pre-dispatch.
 func (wp *WorkerPool) Reroutes() int64 { return wp.reroutes }
 
 // Respawns reports workers replaced by supervision.
 func (wp *WorkerPool) Respawns() int64 { return wp.respawns }
 
-// Replays reports idempotent requests re-dispatched after an in-flight
-// failure (worker death or deadline expiry).
+// Replays reports idempotent requests re-dispatched after their worker
+// died in flight.
 func (wp *WorkerPool) Replays() int64 { return wp.replays }
 
 // Records reports total records moved over all current connections (both

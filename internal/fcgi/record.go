@@ -74,7 +74,7 @@ const (
 	FlagNoStdin uint8 = 1 << 1
 	// FlagIdempotent on a BEGIN record marks the request safe to execute
 	// more than once: a pool with replay enabled may re-dispatch it to
-	// another worker after a worker death or deadline expiry. Requests
+	// another worker after a worker death. Requests
 	// without the bit fail instead (see ErrWorkerDied).
 	FlagIdempotent uint8 = 1 << 2
 	// FlagTraced marks a record whose header is followed by TraceLen

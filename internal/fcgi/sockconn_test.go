@@ -194,11 +194,11 @@ func TestBoundaryWriteChargesSingleCopy(t *testing.T) {
 func buildTransport(b *bed, name string, ref bool) Transport {
 	switch name {
 	case "pipe":
-		return NewPipeTransport(b.m, b.srv, ref, 0)
+		return NewPipeTransport(b.m, b.srv, ref)
 	case "sock-local":
-		return NewLoopbackTransport(b.m, b.srv, ref, 0)
+		return NewLoopbackTransport(b.m, b.srv, ref)
 	case "sock-remote":
-		tr, _ := NewLANTransport(b.m, b.srv, ref, 0, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
 		return tr
 	}
 	panic("unknown transport " + name)
@@ -275,9 +275,9 @@ func TestMuxInterleavesRecordsOverSocket(t *testing.T) {
 			b := newBed()
 			var tr Transport
 			if tc.remote {
-				tr, _ = NewLANTransport(b.m, b.srv, true, 0, "wkr")
+				tr, _ = NewLANTransport(b.m, b.srv, true, "wkr")
 			} else {
-				tr = NewLoopbackTransport(b.m, b.srv, true, 0)
+				tr = NewLoopbackTransport(b.m, b.srv, true)
 			}
 			pool := NewWorkerPool(PoolConfig{
 				Machine: b.m, Server: b.srv, Workers: 1, Depth: 8,
@@ -358,11 +358,11 @@ func TestStreamReadTornRecordIsUnexpectedEOF(t *testing.T) {
 
 // TestSocketResetSurfacesThroughMux kills the worker's end of a socket
 // channel mid-request: the EPIPE-equivalent reset must fail the in-flight
-// request through the mux instead of hanging it, and leave the mux
-// terminally broken.
+// request through the mux instead of hanging it, and leave the victim's
+// mux terminally broken (supervision gives its slot a fresh one).
 func TestSocketResetSurfacesThroughMux(t *testing.T) {
 	b := newBed()
-	tr, _ := NewLANTransport(b.m, b.srv, true, 0, "wkr")
+	tr, _ := NewLANTransport(b.m, b.srv, true, "wkr")
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2,
 		Ref: true, Transport: tr, Name: "rst",
@@ -371,19 +371,20 @@ func TestSocketResetSurfacesThroughMux(t *testing.T) {
 			req.ReplyBytes(p, []byte("late"), 0)
 		},
 	})
+	victim := pool.Workers()[0]
 	var doErr error
 	b.eng.Go("client", func(p *sim.Proc) {
 		_, doErr = pool.Do(p, Request{Params: []byte("/x")})
 	})
 	b.eng.Go("killer", func(p *sim.Proc) {
 		p.Sleep(500 * time.Microsecond)
-		pool.Workers()[0].Conn().Close(p)
+		victim.Conn().Close(p)
 	})
 	b.eng.Run()
 	if doErr == nil {
 		t.Fatal("request survived a worker socket reset")
 	}
-	if err := pool.Workers()[0].Mux().Err(); !errors.Is(err, ErrBroken) {
+	if err := victim.Mux().Err(); !errors.Is(err, ErrBroken) {
 		t.Errorf("mux error = %v, want ErrBroken", err)
 	}
 }
@@ -405,7 +406,7 @@ func TestAcceptanceRemoteRefBoundaryCopiesPayloadOnce(t *testing.T) {
 
 	run := func(ref bool) int64 {
 		b := newBed()
-		tr, _ := NewLANTransport(b.m, b.srv, ref, 0, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
 		aggs := NewAggCache()
 		raws := NewRawCache()
 		pool := NewWorkerPool(PoolConfig{

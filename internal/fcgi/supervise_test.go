@@ -11,10 +11,10 @@ import (
 // slowPool builds a supervised pool whose handler holds a request for
 // work before replying — long enough for a mid-load kill to catch
 // requests in flight.
-func slowPool(b *bed, tr Transport, workers, depth int, work time.Duration, respawn bool, onRetire func(*Worker)) *WorkerPool {
+func slowPool(b *bed, tr Transport, workers, depth int, work time.Duration, onRetire func(*Worker)) *WorkerPool {
 	return NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: workers, Depth: depth,
-		Ref: true, Transport: tr, Respawn: respawn, Name: "sup",
+		Ref: true, Transport: tr, Name: "sup",
 		OnRetire: onRetire,
 		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 			p.Sleep(work)
@@ -33,7 +33,7 @@ func TestPoolRespawnsCrashedWorker(t *testing.T) {
 		t.Run(trName, func(t *testing.T) {
 			b := newBed()
 			var retired []*Worker
-			pool := slowPool(b, buildTransport(b, trName, true), 2, 2, 200*time.Microsecond, true,
+			pool := slowPool(b, buildTransport(b, trName, true), 2, 2, 200*time.Microsecond,
 				func(w *Worker) { retired = append(retired, w) })
 			victim := pool.Workers()[0]
 
@@ -101,7 +101,7 @@ func TestPoolRespawnsCrashedWorker(t *testing.T) {
 // instead of failing it.
 func TestPoolReroutesRequestWaitingOnDeadWorker(t *testing.T) {
 	b := newBed()
-	pool := slowPool(b, nil, 2, 1, 500*time.Microsecond, false, nil)
+	pool := slowPool(b, nil, 2, 1, 500*time.Microsecond, nil)
 
 	var errA, errB, errC error
 	b.eng.Go("A", func(p *sim.Proc) { // fills worker 0's single slot

@@ -15,7 +15,7 @@ import (
 func tracedPool(b *bed, tr Transport, col *obs.Collector, seen *[]uint32) *WorkerPool {
 	return NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 2, Depth: 2,
-		Ref: true, Transport: tr, Respawn: true, Name: "tp", Obs: col,
+		Ref: true, Transport: tr, Name: "tp", Obs: col,
 		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 			*seen = append(*seen, req.TraceID)
 			p.Sleep(100 * time.Microsecond)

@@ -37,10 +37,6 @@ var (
 	// process (EAGAIN): nothing to read, no room to write, no pending
 	// connection to accept. Retry when readiness says so.
 	ErrAgain = errors.New("kernel: operation would block")
-	// ErrTimedOut reports an operation abandoned because its deadline
-	// passed (ETIMEDOUT). Recovery code branches on errors.Is: a timed-out
-	// request may be replayed if idempotent, shed otherwise.
-	ErrTimedOut = errors.New("kernel: operation timed out")
 )
 
 // MaxIO is a read length that exceeds any queued data: IOL_read with

@@ -230,9 +230,6 @@ func NewLink(eng *sim.Engine, a, b *Host, bitsPerSec int64, delay sim.Duration) 
 	}
 }
 
-// SetDelay changes the one-way propagation delay (the delay-router knob).
-func (l *Link) SetDelay(d sim.Duration) { l.delay = d }
-
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() sim.Duration { return l.delay }
 

@@ -97,7 +97,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 		p.Sleep(time.Hour)
 	})
 	e.Wheel().Schedule(time.Second, func() { t.Error("wheel timer fired after Close") })
-	e.RunFor(time.Millisecond)
+	e.RunUntil(Time(time.Millisecond))
 	e.Go("unstarted", func(p *Proc) { t.Error("a proc that never ran was started by Close") })
 
 	e.Close()

@@ -1,11 +1,11 @@
 package sim
 
 // Wheel is a hierarchical timer wheel: the shared timing substrate that
-// retransmit timers, request deadlines, backoff sleeps, and delayed-failure
-// injection all hang off. A wheel trades precision for cost the way kernel
-// timer wheels do — timers land in slots of one tick's width and fire at
-// slot boundaries — which fits its users exactly: an RTO, a deadline, or a
-// backoff delay is a coarse bound, not an instant, and the overwhelmingly
+// retransmit timers, backoff sleeps, and delayed-failure injection all
+// hang off. A wheel trades precision for cost the way kernel timer wheels
+// do — timers land in slots of one tick's width and fire at slot
+// boundaries — which fits its users exactly: an RTO or a backoff delay is
+// a coarse bound, not an instant, and the overwhelmingly
 // common operation is Cancel (the ack arrived, the response landed) which
 // must be O(1).
 //
@@ -25,7 +25,7 @@ const (
 )
 
 // DefaultTick is the granularity of an engine's shared wheel: fine enough
-// that a 1 ms minimum RTO or a 5 ms deadline is off by at most 2%, coarse
+// that a 1 ms minimum RTO or a 5 ms backoff is off by at most 2%, coarse
 // enough that four levels span over an hour of virtual time.
 const DefaultTick = 50 * Microsecond
 
@@ -85,8 +85,8 @@ func NewWheel(e *Engine, tick Duration) *Wheel {
 }
 
 // Wheel returns the engine's shared timer wheel (DefaultTick granularity),
-// creating it on first use. Sharing one wheel is the point: retransmit,
-// deadline, and backoff timers from every subsystem land in the same slots
+// creating it on first use. Sharing one wheel is the point: retransmit
+// and backoff timers from every subsystem land in the same slots
 // and ride the same wake events.
 func (e *Engine) Wheel() *Wheel {
 	if e.wheel == nil {
